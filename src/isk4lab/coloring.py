@@ -7,13 +7,18 @@ multipartite, subcubic line graph / whole rich square, K_{1,2,n} peel, and a
 bounded exact search as the safety net.  It returns the colouring together
 with a replayable trace of the applied rules, or a structured failure
 naming the expectation that broke.
+
+Each trace rule is one entry of the rule table `_TABLE`.  Search and
+`replay_trace` run the same recursion over it and differ only in where a
+level's certificate comes from, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Union
 
 from .decompose import (
     CliqueCutset,
@@ -35,9 +40,6 @@ from .patterns import (
     find_maximal_k12n,
     find_rich_square,
 )
-
-RULES = ("Trivial", "CliqueCutsetSplit", "Proper2CutsetSplit", "Multipartite",
-         "SubcubicLineGraph", "RichSquare", "K12nPeel", "ExactFallback")
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,7 @@ class ColoringFailure:
 class _Fail(Exception):
     def __init__(self, kind: str, rule: Optional[int], scope: int, evidence: dict):
         super().__init__(kind)
-        self.kind = kind
-        self.rule = rule
-        self.scope = scope
-        self.evidence = evidence
+        self.failure = ColoringFailure(kind, rule, scope, evidence)
 
 
 # -- exact search ----------------------------------------------------------
@@ -151,14 +150,10 @@ def _backtrack(h: Graph, k: int, pair: Optional[tuple[int, int]] = None,
     return col if go(0, 0) else None
 
 
-def _canon_list(colors: list[int]) -> list[int]:
+def _canon_list(colors: Iterable[int]) -> list[int]:
+    """Renumber colours by first occurrence."""
     ren: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in ren:
-            ren[c] = len(ren)
-        out.append(ren[c])
-    return out
+    return [ren.setdefault(c, len(ren)) for c in colors]
 
 
 def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
@@ -251,21 +246,28 @@ def color_rich_square(g: Graph, s: SquareLinkStructure) -> Coloring:
 # -- structural recursion --------------------------------------------------
 
 
-def _lift(mask_new: int, back: list[int]) -> int:
-    return mask_of(back[v] for v in bits(mask_new))
+class _Scope:
+    """One instance of the recursion: h = g[mask], h-vertex i is back[i]."""
 
+    def __init__(self, g: Graph, mask: int):
+        self.mask = mask
+        self.h, self.back = induced_subgraph(g, mask)
 
-def _canon(col: dict[int, int]) -> dict[int, int]:
-    """Renumber colours by first occurrence in ascending vertex order."""
-    ren: dict[int, int] = {}
-    out = {}
-    for v in sorted(col):
-        c = col[v]
-        if c not in ren:
-            ren[c] = len(ren)
-        out[v] = ren[c]
-    assert len(ren) <= 4
-    return out
+    def orig(self, vs: Iterable[int]) -> list[int]:
+        return [self.back[v] for v in vs]
+
+    def local(self, vs: Iterable[int]) -> list[int]:
+        return [self.index[v] for v in vs]
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {v: i for i, v in enumerate(self.back)}
+
+    @cached_property
+    def prism_or_rich(self):
+        """Rule 6's gate, shared by its two rules: None or (prism, rich)."""
+        prism, rich = contains_fixed(self.h, "prism"), find_rich_square(self.h)
+        return None if prism is None and rich is None else (prism, rich)
 
 
 def _merge(base: dict[int, int], other: dict[int, int],
@@ -296,218 +298,24 @@ def _merge(base: dict[int, int], other: dict[int, int],
     return out
 
 
-def _emit(steps: Optional[list], feed: Optional[deque], rule: str,
-          scope: int, detail: dict) -> dict:
-    if feed is None:
-        steps.append(TraceStep(rule, scope, detail))
-        return detail
-    if not feed:
-        raise ValueError("trace ended before the recursion did")
-    st = feed.popleft()
-    if st.rule != rule or st.scope != scope:
-        raise ValueError("trace step does not match the recursion")
-    return st.detail
+def _leaf(colour: Callable) -> Callable:
+    """apply for a rule whose colour(s, cert) colours h outright."""
+    return lambda s, cert, sub: (dict(zip(s.back, colour(s, cert).color)), {})
 
 
-def _solve(g: Graph, mask: int, depth: int, steps: Optional[list],
-           feed: Optional[deque]) -> dict[int, int]:
-    assert depth <= g.n, "every rule must shrink its instance"
-    h, back = induced_subgraph(g, mask)
-
-    # rule 1: small instances take distinct colours
-    if h.n <= 4:
-        _emit(steps, feed, "Trivial", mask, {})
-        return {v: i for i, v in enumerate(back)}
-
-    # rule 2: colour components independently, palettes overlap freely
-    comps = components(h)
-    if len(comps) > 1:
-        out: dict[int, int] = {}
-        for cm in comps:
-            out.update(_solve(g, _lift(cm, back), depth + 1, steps, feed))
-        return _canon(out)
-
-    if feed is None:
-        return _search(g, mask, depth, steps, h, back)
-    if not feed:
-        raise ValueError("trace ended before the recursion did")
-    st = feed.popleft()
-    if st.scope != mask:
-        raise ValueError("trace scope does not match the recursion")
-    return _replay_step(g, mask, depth, feed, h, back, st)
+def _trivial(s: _Scope) -> Optional[int]:
+    # small instances take distinct colours; the certificate is the size
+    return s.h.n if s.h.n <= 4 else None
 
 
-def _search(g: Graph, mask: int, depth: int, steps: list, h: Graph,
-            back: list[int]) -> dict[int, int]:
-    # rule 3
-    cc = find_clique_cutset(h, kmax=3)
-    if cc is not None:
-        steps.append(TraceStep("CliqueCutsetSplit", mask,
-                               {"cutset": [back[v] for v in cc.vertices]}))
-        return _apply_clique(g, mask, depth, steps, None, h, back, cc.vertices)
-
-    # rule 4
-    pc = find_proper_2cutset(h)
-    if pc is not None:
-        detail = {"a": back[pc.a], "b": back[pc.b],
-                  "x": [back[v] for v in bits(pc.x)],
-                  "y": [back[v] for v in bits(pc.y)]}
-        steps.append(TraceStep("Proper2CutsetSplit", mask, detail))
-        return _apply_p2c(g, mask, depth, steps, None, h, back,
-                          pc.a, pc.b, pc.x, pc.y, detail)
-
-    # rule 5: a K_{3,3} forces complete multipartite here, but recognition is
-    # attempted unconditionally so plain multipartite graphs are also kept
-    # off the peel rule (which would waste a colour on them)
-    mp = recognize_complete_multipartite(h)
-    if mp is not None and len(mp.parts) <= 4:
-        steps.append(TraceStep("Multipartite", mask,
-                               {"parts": [[back[v] for v in bits(p)]
-                                          for p in mp.parts]}))
-        return _apply_multipartite(back, mp)
-    k33 = contains_fixed(h, "K33")
-    if k33 is not None:
-        raise _Fail("hypothesis_violation", 5, mask, {
-            "expectation": "with K_{3,3} present and no clique cutset the "
-                           "graph must be complete multipartite on at most "
-                           "four parts",
-            "k33_vertices": sorted(back[v] for v in k33.mapping),
-            "parts": None if mp is None else len(mp.parts),
-        })
-
-    # rule 6
-    prism = contains_fixed(h, "prism")
-    rich = find_rich_square(h)
-    if prism is not None or rich is not None:
-        lg = recognize_line_graph_subcubic(h)
-        if lg is not None:
-            steps.append(TraceStep("SubcubicLineGraph", mask, {
-                "root_n": lg.root.n,
-                "root_edges": [list(e) for e in lg.root.edges()],
-                "edge_of": [list(e) for e in lg.edge_of]}))
-            return _apply_linegraph(h, back, lg)
-        whole = rich if rich is not None and rich.whole else \
-            find_rich_square(h, whole_only=True)
-        if whole is not None:
-            steps.append(TraceStep("RichSquare", mask, {
-                "square": [back[v] for v in whole.square],
-                "links": [{"path": [back[v] for v in l.path],
-                           "center": l.center} for l in whole.links]}))
-            return _apply_richsquare(h, back, whole)
-        raise _Fail("hypothesis_violation", 6, mask, {
-            "expectation": "with a prism or rich square present and no "
-                           "cutset the graph must be the line graph of a "
-                           "max-degree-3 graph or a whole rich square",
-            "prism_vertices": None if prism is None
-            else sorted(back[v] for v in prism.mapping),
-            "square": None if rich is None
-            else [back[v] for v in rich.square],
-        })
-
-    # rule 7
-    emb = find_maximal_k12n(h, 3)
-    if emb is not None:
-        hm = emb.vertex_mask()
-        need = 1 << emb.a | mask_of(emb.b)
-        for cm in components(h, h.vertex_mask & ~hm):
-            att = attachment(h, hm, cm)
-            if att != need:
-                raise _Fail("hypothesis_violation", 7, mask, {
-                    "expectation": "every component outside a maximal "
-                                   "K_{1,2,n} must attach exactly at the "
-                                   "K_{1,2} side",
-                    "embedding": {"a": back[emb.a],
-                                  "b": [back[v] for v in emb.b],
-                                  "c": [back[v] for v in emb.c]},
-                    "component": sorted(back[v] for v in bits(cm)),
-                    "attachment": sorted(back[v] for v in bits(att)),
-                })
-        steps.append(TraceStep("K12nPeel", mask,
-                               {"a": back[emb.a],
-                                "b": [back[v] for v in emb.b],
-                                "c": [back[v] for v in emb.c]}))
-        return _apply_peel(g, mask, depth, steps, None, back, emb)
-
-    # rule 8
-    res = chromatic_number_exact(h, 4)
-    if isinstance(res, BoundExceeded):
-        raise _Fail("chromatic_bound_exceeded", 8, mask,
-                    {"bound": 4, "vertices": sorted(back)})
-    k, col = res
-    steps.append(TraceStep("ExactFallback", mask, {"k": k}))
-    return {back[v]: col.color[v] for v in range(h.n)}
-
-
-def _replay_step(g: Graph, mask: int, depth: int, feed: deque, h: Graph,
-                 back: list[int], st: TraceStep) -> dict[int, int]:
-    index = {v: i for i, v in enumerate(back)}
-    d = st.detail
-    try:
-        if st.rule == "CliqueCutsetSplit":
-            vs = tuple(sorted(index[v] for v in d["cutset"]))
-            if not CliqueCutset(vs).validate(h):
-                raise ValueError("recorded clique cutset no longer applies")
-            return _apply_clique(g, mask, depth, None, feed, h, back, vs)
-        if st.rule == "Proper2CutsetSplit":
-            a, b = index[d["a"]], index[d["b"]]
-            x = mask_of(index[v] for v in d["x"])
-            y = mask_of(index[v] for v in d["y"])
-            if not Proper2Cutset(a, b, x, y).validate(h):
-                raise ValueError("recorded proper 2-cutset no longer applies")
-            return _apply_p2c(g, mask, depth, None, feed, h, back, a, b, x, y, d)
-        if st.rule == "Multipartite":
-            cert = MultipartiteCert(tuple(mask_of(index[v] for v in part)
-                                          for part in d["parts"]))
-            if len(cert.parts) > 4 or not cert.validate(h):
-                raise ValueError("recorded partition no longer applies")
-            return _apply_multipartite(back, cert)
-        if st.rule == "SubcubicLineGraph":
-            cert = SubcubicRootCert(
-                Graph.from_edges(d["root_n"],
-                                 [tuple(e) for e in d["root_edges"]]),
-                tuple(tuple(e) for e in d["edge_of"]))
-            if not cert.validate(h):
-                raise ValueError("recorded line graph root no longer applies")
-            return _apply_linegraph(h, back, cert)
-        if st.rule == "RichSquare":
-            s = SquareLinkStructure(
-                tuple(index[v] for v in d["square"]),
-                tuple(SquareLink(tuple(index[v] for v in l["path"]),
-                                 l["center"]) for l in d["links"]),
-                whole=True)
-            if not s.validate(h):
-                raise ValueError("recorded rich square no longer applies")
-            return _apply_richsquare(h, back, s)
-        if st.rule == "K12nPeel":
-            emb = K12nEmbedding(index[d["a"]],
-                                tuple(sorted(index[v] for v in d["b"])),
-                                tuple(sorted(index[v] for v in d["c"])))
-            if not emb.validate(h):
-                raise ValueError("recorded embedding no longer applies")
-            hm = emb.vertex_mask()
-            need = 1 << emb.a | mask_of(emb.b)
-            for cm in components(h, h.vertex_mask & ~hm):
-                if attachment(h, hm, cm) != need:
-                    raise ValueError("recorded embedding has a stray attachment")
-            return _apply_peel(g, mask, depth, None, feed, back, emb)
-        if st.rule == "ExactFallback":
-            res = chromatic_number_exact(h, 4)
-            if isinstance(res, BoundExceeded) or res[0] != d["k"]:
-                raise ValueError("recorded fallback does not reproduce")
-            return {back[v]: res[1].color[v] for v in range(h.n)}
-    except KeyError as exc:
-        raise ValueError("trace step is missing a witness field") from exc
-    raise ValueError(f"unknown trace rule {st.rule!r}")
-
-
-def _apply_clique(g, mask, depth, steps, feed, h, back, vs) -> dict[int, int]:
-    smask = mask_of(vs)
-    shared = [back[v] for v in vs]
+def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> tuple[dict, dict]:
+    smask = mask_of(cc.vertices)
+    shared = s.orig(cc.vertices)
     merged: Optional[dict[int, int]] = None
-    for cm in components(h, h.vertex_mask & ~smask):
-        part = _solve(g, _lift(cm | smask, back), depth + 1, steps, feed)
+    for cm in components(s.h, s.h.vertex_mask & ~smask):
+        part = sub(cm | smask)
         merged = part if merged is None else _merge(merged, part, shared)
-    return _canon(merged)
+    return merged, {}
 
 
 def _recolor(h: Graph, back: list[int], block: int, pair: tuple[int, int],
@@ -523,72 +331,250 @@ def _recolor(h: Graph, back: list[int], block: int, pair: tuple[int, int],
     return None
 
 
-def _apply_p2c(g, mask, depth, steps, feed, h, back, a, b, x, y,
-               detail) -> dict[int, int]:
+def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
+    h, back, a, b = s.h, s.back, pc.a, pc.b
     A, B = back[a], back[b]
-    bx = x | 1 << a | 1 << b
-    by = y | 1 << a | 1 << b
-    cx = _solve(g, _lift(bx, back), depth + 1, steps, feed)
-    cy = _solve(g, _lift(by, back), depth + 1, steps, feed)
+    bx = pc.x | 1 << a | 1 << b
+    by = pc.y | 1 << a | 1 << b
+    cx = sub(bx)
+    cy = sub(by)
     if (cx[A] == cx[B]) == (cy[A] == cy[B]):
-        res = "agree"
-        merged = _merge(cx, cy, [A, B])
-    else:
-        # recolour the smaller block to match the larger block's relation on
-        # (a, b); failing that the larger block; failing both, the whole scope
-        small_is_x = x.bit_count() <= y.bit_count()
-        bs, bl = (bx, by) if small_is_x else (by, bx)
-        cl = cy if small_is_x else cx
-        cs = cx if small_is_x else cy
-        redo = _recolor(h, back, bs, (a, b), equal=cl[A] == cl[B])
+        return _merge(cx, cy, [A, B]), {"resolution": "agree"}
+    # recolour the smaller block to match the larger block's relation on
+    # (a, b); failing that the larger block; failing both, the whole scope
+    tries = [(bx, cy, "recolor_x"), (by, cx, "recolor_y")]
+    if pc.x.bit_count() > pc.y.bit_count():
+        tries.reverse()
+    for block, kept, res in tries:
+        redo = _recolor(h, back, block, (a, b), equal=kept[A] == kept[B])
         if redo is not None:
-            res = "recolor_x" if small_is_x else "recolor_y"
-            merged = _merge(cl, redo, [A, B])
-        else:
-            redo = _recolor(h, back, bl, (a, b), equal=cs[A] == cs[B])
-            if redo is not None:
-                res = "recolor_y" if small_is_x else "recolor_x"
-                merged = _merge(cs, redo, [A, B])
-            else:
-                raw = _backtrack(h, 4)
-                if raw is None:
-                    raise _Fail("chromatic_bound_exceeded", 4, mask,
-                                {"bound": 4, "vertices": sorted(back)})
-                res = "whole_exact"
-                merged = {back[v]: raw[v] for v in range(h.n)}
-    if feed is None:
-        detail["resolution"] = res
-    elif detail.get("resolution") != res:
-        raise ValueError("trace resolution does not match the recursion")
-    return _canon(merged)
+            return _merge(kept, redo, [A, B]), {"resolution": res}
+    raw = _backtrack(h, 4)
+    if raw is None:
+        raise _Fail("chromatic_bound_exceeded", 4, s.mask,
+                    {"bound": 4, "vertices": sorted(back)})
+    return dict(zip(back, raw)), {"resolution": "whole_exact"}
 
 
-def _apply_multipartite(back, cert) -> dict[int, int]:
-    out = {}
-    for i, part in enumerate(cert.parts):
-        for v in bits(part):
-            out[back[v]] = i
-    return _canon(out)
+def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
+    # a K_{3,3} forces complete multipartite here, but recognition is
+    # attempted unconditionally so plain multipartite graphs are also kept
+    # off the peel rule (which would waste a colour on them)
+    mp = recognize_complete_multipartite(s.h)
+    if mp is not None and len(mp.parts) <= 4:
+        return mp
+    k33 = contains_fixed(s.h, "K33")
+    if k33 is not None:
+        raise _Fail("hypothesis_violation", 5, s.mask, {
+            "expectation": "with K_{3,3} present and no clique cutset the "
+                           "graph must be complete multipartite on at most "
+                           "four parts",
+            "k33_vertices": sorted(s.orig(k33.mapping)),
+            "parts": None if mp is None else len(mp.parts),
+        })
+    return None
 
 
-def _apply_linegraph(h, back, cert) -> dict[int, int]:
-    col = color_subcubic_line_graph(h, cert)
-    return _canon({back[v]: col.color[v] for v in range(h.n)})
+def _whole_rich_square(s: _Scope) -> Optional[SquareLinkStructure]:
+    if s.prism_or_rich is None:
+        return None
+    prism, rich = s.prism_or_rich
+    whole = rich if rich is not None and rich.whole else \
+        find_rich_square(s.h, whole_only=True)
+    if whole is not None:
+        return whole
+    raise _Fail("hypothesis_violation", 6, s.mask, {
+        "expectation": "with a prism or rich square present and no "
+                       "cutset the graph must be the line graph of a "
+                       "max-degree-3 graph or a whole rich square",
+        "prism_vertices": None if prism is None else sorted(s.orig(prism.mapping)),
+        "square": None if rich is None else s.orig(rich.square),
+    })
 
 
-def _apply_richsquare(h, back, s) -> dict[int, int]:
-    col = color_rich_square(h, s)
-    return _canon({back[v]: col.color[v] for v in range(h.n)})
+def _stray(h: Graph, emb: K12nEmbedding) -> Optional[tuple[int, int]]:
+    """First component outside the embedding that does not attach exactly at
+    {a} ∪ b, with its attachment; None when every component does."""
+    hm = emb.vertex_mask()
+    need = 1 << emb.a | mask_of(emb.b)
+    for cm in components(h, h.vertex_mask & ~hm):
+        att = attachment(h, hm, cm)
+        if att != need:
+            return cm, att
+    return None
 
 
-def _apply_peel(g, mask, depth, steps, feed, back, emb) -> dict[int, int]:
-    sub = _solve(g, mask & ~_lift(mask_of(emb.c), back), depth + 1, steps, feed)
-    tri = {sub[back[emb.a]], sub[back[emb.b[0]]], sub[back[emb.b[1]]]}
+def _k12n_detail(s: _Scope, emb: K12nEmbedding) -> dict:
+    return {"a": s.back[emb.a], "b": s.orig(emb.b), "c": s.orig(emb.c)}
+
+
+def _k12n(s: _Scope) -> Optional[K12nEmbedding]:
+    emb = find_maximal_k12n(s.h, 3)
+    if emb is None:
+        return None
+    stray = _stray(s.h, emb)
+    if stray is not None:
+        raise _Fail("hypothesis_violation", 7, s.mask, {
+            "expectation": "every component outside a maximal K_{1,2,n} "
+                           "must attach exactly at the K_{1,2} side",
+            "embedding": _k12n_detail(s, emb),
+            "component": sorted(s.orig(bits(stray[0]))),
+            "attachment": sorted(s.orig(bits(stray[1]))),
+        })
+    return emb
+
+
+def _peel(s: _Scope, emb: K12nEmbedding, sub) -> tuple[dict, dict]:
+    out = dict(sub(s.h.vertex_mask & ~mask_of(emb.c)))
+    tri = {out[v] for v in s.orig((emb.a,) + emb.b)}
     free = min(set(range(4)) - tri)
-    out = dict(sub)
-    for v in emb.c:
-        out[back[v]] = free
-    return _canon(out)
+    out.update(dict.fromkeys(s.orig(emb.c), free))
+    return out, {}
+
+
+def _exact(s: _Scope) -> Coloring:
+    res = chromatic_number_exact(s.h, 4)
+    if isinstance(res, BoundExceeded):
+        raise _Fail("chromatic_bound_exceeded", 8, s.mask,
+                    {"bound": 4, "vertices": sorted(s.back)})
+    return res[1]
+
+
+# One entry per trace rule, in proof order.  find(s) gives a certificate in
+# h's ids, None when the rule does not apply, or raises _Fail; encode(s, cert)
+# and decode(s, detail) map it to and from the trace detail (original ids);
+# check(s, cert) re-validates a decoded one, by default with its validate;
+# apply(s, cert, sub) colours the scope, sub(m) colouring h[m], and returns
+# the colouring (original ids) and what the detail records after the
+# recursion.  Detectors are looked up by module-global name at call time, so
+# rebinding them on this module reaches every call.
+_Rule = namedtuple("_Rule", "name find encode decode apply check",
+                   defaults=(lambda s, cert: cert.validate(s.h),))
+_TABLE = (
+    _Rule("Trivial", find=_trivial,
+          encode=lambda s, n: {},
+          decode=lambda s, d: _trivial(s),
+          check=lambda s, n: n is not None,
+          apply=lambda s, n, sub: (dict(zip(s.back, range(n))), {})),
+    _Rule("CliqueCutsetSplit",
+          find=lambda s: find_clique_cutset(s.h, kmax=3),
+          encode=lambda s, cc: {"cutset": s.orig(cc.vertices)},
+          decode=lambda s, d: CliqueCutset(tuple(sorted(s.local(d["cutset"])))),
+          apply=_split_clique),
+    _Rule("Proper2CutsetSplit",
+          find=lambda s: find_proper_2cutset(s.h),
+          encode=lambda s, pc: {"a": s.back[pc.a], "b": s.back[pc.b],
+                                "x": s.orig(bits(pc.x)),
+                                "y": s.orig(bits(pc.y))},
+          decode=lambda s, d: Proper2Cutset(s.index[d["a"]], s.index[d["b"]],
+                                            mask_of(s.local(d["x"])),
+                                            mask_of(s.local(d["y"]))),
+          apply=_split_p2c),
+    _Rule("Multipartite", find=_multipartite,
+          encode=lambda s, mp: {"parts": [s.orig(bits(p)) for p in mp.parts]},
+          decode=lambda s, d: MultipartiteCert(
+              tuple(mask_of(s.local(part)) for part in d["parts"])),
+          check=lambda s, mp: len(mp.parts) <= 4 and mp.validate(s.h),
+          apply=_leaf(lambda s, mp: color_complete_multipartite(mp))),
+    _Rule("SubcubicLineGraph",
+          find=lambda s: None if s.prism_or_rich is None
+          else recognize_line_graph_subcubic(s.h),
+          encode=lambda s, lg: {"root_n": lg.root.n,
+                                "root_edges": [list(e) for e in lg.root.edges()],
+                                "edge_of": [list(e) for e in lg.edge_of]},
+          decode=lambda s, d: SubcubicRootCert(
+              Graph.from_edges(d["root_n"], [tuple(e) for e in d["root_edges"]]),
+              tuple(tuple(e) for e in d["edge_of"])),
+          apply=_leaf(lambda s, lg: color_subcubic_line_graph(s.h, lg))),
+    _Rule("RichSquare", find=_whole_rich_square,
+          encode=lambda s, w: {"square": s.orig(w.square),
+                               "links": [{"path": s.orig(l.path),
+                                          "center": l.center} for l in w.links]},
+          decode=lambda s, d: SquareLinkStructure(
+              tuple(s.local(d["square"])),
+              tuple(SquareLink(tuple(s.local(l["path"])), l["center"])
+                    for l in d["links"]),
+              whole=True),
+          apply=_leaf(lambda s, w: color_rich_square(s.h, w))),
+    _Rule("K12nPeel", find=_k12n, encode=_k12n_detail,
+          decode=lambda s, d: K12nEmbedding(s.index[d["a"]],
+                                            tuple(sorted(s.local(d["b"]))),
+                                            tuple(sorted(s.local(d["c"])))),
+          check=lambda s, emb: emb.validate(s.h) and _stray(s.h, emb) is None,
+          apply=_peel),
+    # replay re-runs the exact search; a recorded k that differs leaves the
+    # colouring's palette wrong, which validate refuses
+    _Rule("ExactFallback", find=_exact,
+          encode=lambda s, col: {"k": col.k},
+          decode=lambda s, d: Coloring(_exact(s).color, d["k"]),
+          apply=_leaf(lambda s, col: col)),
+)
+RULES = tuple(rule.name for rule in _TABLE)
+
+
+def _first_rule(s: _Scope) -> tuple[_Rule, object]:
+    """Search: the first rule whose find succeeds, with its certificate."""
+    for rule in _TABLE:
+        cert = rule.find(s)
+        if cert is not None:
+            return rule, cert
+    raise AssertionError("ExactFallback always answers or raises")
+
+
+def _recorded(steps) -> Callable:
+    """Replay: each call takes the next recorded step, decodes its witness
+    and re-validates it against the scope."""
+    feed = iter(steps)
+
+    def pick(s: _Scope) -> tuple[_Rule, object]:
+        st = next(feed, None)
+        if st is None:
+            raise ValueError("trace ended before the recursion did")
+        if st.scope != s.mask:
+            raise ValueError("trace scope does not match the recursion")
+        rule = next((r for r in _TABLE if r.name == st.rule), None)
+        if rule is None:
+            raise ValueError(f"unknown trace rule {st.rule!r}")
+        # Trivial pre-empts every other rule, as it does in search
+        if rule.name != "Trivial" and _trivial(s) is not None:
+            raise ValueError("trace step does not match the recursion")
+        try:
+            cert = rule.decode(s, st.detail)
+            ok = rule.check(s, cert)
+        except (LookupError, TypeError) as exc:
+            raise ValueError(f"malformed {st.rule} witness: {exc!r}") from exc
+        if not ok:
+            raise ValueError(f"recorded {st.rule} witness no longer applies")
+        return rule, cert
+
+    return pick
+
+
+def _solve(g: Graph, mask: int, depth: int, pick: Callable,
+           steps: list[TraceStep]) -> dict[int, int]:
+    """Colour g[mask], taking each rule from pick and appending the applied
+    steps to steps in pre-order."""
+    assert depth <= g.n, "every rule must shrink its instance"
+    s = _Scope(g, mask)
+
+    def sub(m: int) -> dict[int, int]:
+        return _solve(g, mask_of(s.orig(bits(m))), depth + 1, pick, steps)
+
+    # past Trivial, colour components independently, palettes overlapping
+    comps = components(s.h) if s.h.n > 4 else []
+    if len(comps) > 1:
+        col: dict[int, int] = {}
+        for cm in comps:
+            col.update(sub(cm))
+    else:
+        rule, cert = pick(s)
+        detail = rule.encode(s, cert)
+        steps.append(TraceStep(rule.name, mask, detail))
+        col, outcome = rule.apply(s, cert, sub)
+        detail.update(outcome)
+    canon = _canon_list(map(col.__getitem__, s.back))
+    assert max(canon, default=0) < 4
+    return dict(zip(s.back, canon))
 
 
 def structural_four_coloring(g: Graph, *, check_isk4_free: bool = False
@@ -610,16 +596,14 @@ def structural_four_coloring(g: Graph, *, check_isk4_free: bool = False
                  "isk4_vertices": sorted(bits(w))})
     steps: list[TraceStep] = []
     try:
-        col = _solve(g, g.vertex_mask, 0, steps, None)
-    except _Fail as f:
-        ev = dict(f.evidence)
-        conj = False
-        if f.kind == "chromatic_bound_exceeded":
-            conj = contains_isk4(g) is None
-            if conj:
-                ev["note"] = ("needs five colours yet has no induced K4 "
-                              "subdivision: counterexample candidate")
-        return ColoringFailure(f.kind, f.rule, f.scope, ev, conj)
+        col = _solve(g, g.vertex_mask, 0, _first_rule, steps)
+    except _Fail as exc:
+        f = exc.failure
+        if f.kind == "chromatic_bound_exceeded" and contains_isk4(g) is None:
+            return replace(f, conjecture_counterexample=True, evidence={
+                **f.evidence, "note": "needs five colours yet has no induced "
+                                      "K4 subdivision: counterexample candidate"})
+        return f
     out = Coloring(tuple(col[v] for v in range(g.n)), len(set(col.values())))
     assert out.k <= 4 and out.validate(g)
     return out, ColoringTrace(tuple(steps))
@@ -631,10 +615,17 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     On the graph that produced the trace this reproduces the identical
     colouring; a trace that does not fit raises ValueError.
     """
-    feed = deque(trace.steps)
-    col = _solve(g, g.vertex_mask, 0, None, feed)
-    if feed:
-        raise ValueError("trace has unused steps")
+    steps: list[TraceStep] = []
+    try:
+        col = _solve(g, g.vertex_mask, 0, _recorded(trace.steps), steps)
+    except _Fail as exc:
+        # the recorded rules lead to an instance the recursion refuses
+        raise ValueError(f"trace does not fit the graph: {exc.failure.kind} "
+                         f"at rule {exc.failure.rule}") from exc
+    # the re-encoded steps must give back the trace: this catches unused
+    # steps, a wrong 2-cutset resolution and an encode/decode pair that drifts
+    if tuple(steps) != tuple(trace.steps):
+        raise ValueError("trace differs from its replay")
     out = Coloring(tuple(col[v] for v in range(g.n)), len(set(col.values())))
     if not out.validate(g):
         raise ValueError("replayed colouring is not proper")

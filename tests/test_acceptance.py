@@ -18,6 +18,7 @@ from isk4lab.coloring import (
     color_complete_multipartite,
     color_rich_square,
     color_subcubic_line_graph,
+    replay_trace,
     structural_four_coloring,
 )
 from isk4lab.decompose import (
@@ -58,6 +59,7 @@ def test_structural_coloring_sweep():
                 continue
             col, trace = out
             assert col.k <= 4 and col.validate(g)
+            assert replay_trace(g, trace) == col
             if trace.steps and trace.steps[0].rule == "ExactFallback":
                 fallbacks.append((n, int(code)))
             done += 1

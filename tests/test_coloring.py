@@ -1,6 +1,8 @@
 """Colouring tests: the exact oracle, the three leaf colourers, and the
 structural recursion with its replayable traces."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,7 +24,7 @@ from isk4lab.decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, bits
+from isk4lab.graphs import Graph, bits, mask_of, parse_graph6
 from isk4lab.patterns import contains_isk4, find_rich_square
 
 from oracles import brute_chromatic_number, has_isk4
@@ -276,6 +278,90 @@ class TestTraceReplay:
         _, t = pipeline_ok(K123)
         with pytest.raises(ValueError):
             replay_trace(C6, t)
+
+    def test_replay_rejects_wrong_resolution(self):
+        g = parse_graph6("E]r?")  # its 2-cutset sides agree
+        _, t = pipeline_ok(g)
+        head = t.steps[0]
+        bad = TraceStep(head.rule, head.scope,
+                        {**head.detail, "resolution": "recolor_x"})
+        with pytest.raises(ValueError):
+            replay_trace(g, ColoringTrace((bad,) + t.steps[1:]))
+
+    def test_replay_refusal_is_value_error(self):
+        # triangle {2,3,4} complete to 0 and 1; K4 {5..8} with 0~5,6, 1~7,8.
+        # Each side of the cut pair {0,1} 4-colours, but never with the same
+        # relation on the pair, so the recorded split needs five colours
+        g = Graph.from_edges(9, [(2, 3), (2, 4), (3, 4)]
+                             + [(t, v) for t in (2, 3, 4) for v in (0, 1)]
+                             + [(u + 5, v + 5) for u, v in K4.edges()]
+                             + [(0, 5), (0, 6), (1, 7), (1, 8)])
+        trace = ColoringTrace((
+            TraceStep("Proper2CutsetSplit", g.vertex_mask,
+                      {"a": 0, "b": 1, "x": [2, 3, 4], "y": [5, 6, 7, 8]}),
+            TraceStep("ExactFallback", mask_of([0, 1, 2, 3, 4]), {"k": 4}),
+            TraceStep("ExactFallback", mask_of([0, 1, 5, 6, 7, 8]), {"k": 4})))
+        with pytest.raises(ValueError):
+            replay_trace(g, trace)
+
+    @pytest.mark.parametrize("detail", [{"parts": 5}, {"parts": [[[0]]]}, None])
+    def test_replay_malformed_detail_is_value_error(self, detail):
+        with pytest.raises(ValueError):
+            replay_trace(K123, ColoringTrace(
+                (TraceStep("Multipartite", 0x3F, detail),)))
+
+
+# the trace each rule writes, pinned to the exact JSON: rule, scope, detail
+# keys in insertion order
+PINNED_TRACES = [
+    (K123, [{"rule": "Multipartite", "scope": 63,
+             "detail": {"parts": [[0], [1, 2], [3, 4, 5]]}}]),
+    (C5, [{"rule": "ExactFallback", "scope": 31, "detail": {"k": 3}}]),
+    (HOST124, [{"rule": "K12nPeel", "scope": 1023,
+                "detail": {"a": 0, "b": [1, 2], "c": [3, 4, 5, 6]}},
+               {"rule": "CliqueCutsetSplit", "scope": 903,
+                "detail": {"cutset": [0, 8]}},
+               {"rule": "Trivial", "scope": 387, "detail": {}},
+               {"rule": "Trivial", "scope": 773, "detail": {}}]),
+    (PRISM6, [{"rule": "SubcubicLineGraph", "scope": 63,
+               "detail": {"root_n": 5,
+                          "root_edges": [[0, 1], [0, 2], [0, 3], [1, 4],
+                                         [2, 4], [3, 4]],
+                          "edge_of": [[0, 1], [0, 2], [0, 3], [1, 4],
+                                      [2, 4], [3, 4]]}}]),
+    (SQ_TWO_LINKS, [{"rule": "RichSquare", "scope": 255,
+                     "detail": {"square": [0, 1, 2, 3],
+                                "links": [{"path": [4, 5], "center": False},
+                                          {"path": [6, 7], "center": False}]}}]),
+    ("E]r?", [{"rule": "Proper2CutsetSplit", "scope": 63,
+               "detail": {"a": 0, "b": 1, "x": [2, 3], "y": [4, 5],
+                          "resolution": "agree"}},
+              {"rule": "Trivial", "scope": 15, "detail": {}},
+              {"rule": "Trivial", "scope": 51, "detail": {}}]),
+    ("F]rE?", [{"rule": "Proper2CutsetSplit", "scope": 127,
+                "detail": {"a": 0, "b": 1, "x": [2, 3], "y": [4, 5, 6],
+                           "resolution": "recolor_x"}},
+               {"rule": "Trivial", "scope": 15, "detail": {}},
+               {"rule": "Multipartite", "scope": 115,
+                "detail": {"parts": [[0, 1], [4, 5, 6]]}}]),
+    ("FMjE?", [{"rule": "Proper2CutsetSplit", "scope": 127,
+                "detail": {"a": 0, "b": 1, "x": [2, 3, 4], "y": [5, 6],
+                           "resolution": "recolor_y"}},
+               {"rule": "ExactFallback", "scope": 31, "detail": {"k": 3}},
+               {"rule": "Trivial", "scope": 99, "detail": {}}]),
+]
+
+
+def test_trace_encoding_is_pinned():
+    seen = set()
+    for g, expected in PINNED_TRACES:
+        g = parse_graph6(g) if isinstance(g, str) else g
+        _, t = pipeline_ok(g)
+        got = [{"rule": s.rule, "scope": s.scope, "detail": s.detail}
+               for s in t.steps]
+        assert json.dumps(got) == json.dumps(expected)
+        seen.update(t.rules())
+    assert seen == set(RULES)
 
 
 class TestExhaustive:
