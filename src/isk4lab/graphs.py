@@ -253,17 +253,13 @@ def is_induced_path(g: Graph, vertices: tuple[int, ...] | list[int]) -> bool:
 
 
 def is_induced_cycle(g: Graph, vertices: tuple[int, ...] | list[int]) -> bool:
-    """Cyclic sequence of length >= 3: consecutive (mod k) adjacent, no chords."""
-    k = len(vertices)
-    if k < 3 or len(set(vertices)) != k:
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(vertices[i], vertices[j])
-            consecutive = (j == i + 1) or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-    return True
+    """Cyclic sequence of length >= 3: consecutive (mod k) adjacent, no chords.
+
+    Every pair but (first, last) lies on the path without the last vertex or
+    on the path without the first, and that pair must be an edge.
+    """
+    return len(vertices) >= 3 and g.has_edge(vertices[0], vertices[-1]) \
+        and is_induced_path(g, vertices[:-1]) and is_induced_path(g, vertices[1:])
 
 
 # -- graph6 ----------------------------------------------------------------

@@ -7,16 +7,24 @@ L-COMP (component attachments are empty, a clique or {a,b_1,b_2}).  Each run
 reports whether the statement's hypotheses held and, if so, whether the
 conclusion survived exhaustive checking; a counterwitness would be evidence of
 an implementation bug and is returned in full.
+
+The three lemmas share their hypotheses, so the per-graph facts they read
+(the ISK4 mask, K33/K222 and prism presence, the maximal K_{1,2,n} list) live
+on one `GraphFacts` per graph, each computed at most once.  A scan builds it
+from the ISK4 mask it already has and hands it to every check, so
+`contains_isk4` runs once per scanned graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .graphs import Graph, bits, components, is_induced_cycle, is_induced_path, mask_of
 from .patterns import (
     K12nEmbedding,
+    PatternWitness,
     contains_fixed,
     contains_isk4,
     iter_maximal_k12n,
@@ -279,20 +287,45 @@ class _Budget:
         return True
 
 
-def check_lemma(g: Graph, lemma_id: str, budget: Optional[int] = None) -> LemmaReport:
+class GraphFacts:
+    """One graph plus the facts the lemma checks share, each computed on
+    first use through this module's detectors and then kept."""
+
+    def __init__(self, g: Graph, isk4: Optional[int]):
+        self.g = g
+        self.isk4 = isk4  # contains_isk4(g), which every caller has at hand
+
+    @cached_property
+    def k33_or_k222(self) -> bool:
+        return contains_fixed(self.g, "K33") is not None \
+            or contains_fixed(self.g, "K222") is not None
+
+    @cached_property
+    def prism(self) -> Optional[PatternWitness]:
+        return contains_fixed(self.g, "prism")
+
+    @cached_property
+    def k12n(self) -> list[K12nEmbedding]:
+        """Every maximal K_{1,2,n} with n >= 2; those with n >= 3 are, in the
+        same order, what iter_maximal_k12n(g, 3) yields."""
+        return list(iter_maximal_k12n(self.g, 2))
+
+
+def check_lemma(g: Graph | GraphFacts, lemma_id: str,
+                budget: Optional[int] = None) -> LemmaReport:
     """Test one lemma's conclusion over all its instances in g.
 
-    budget caps the number of checked instances (cycles and (cycle, vertex)
-    pairs for L-LINK, (embedding, vertex/component) pairs otherwise); running
-    out yields an explicit budget_exceeded report, never a silent pass.
+    g is a Graph, or the GraphFacts of one when several lemmas run on the
+    same graph.  budget caps the number of checked instances (cycles and
+    (cycle, vertex) pairs for L-LINK, (embedding, vertex/component) pairs
+    otherwise); running out yields an explicit budget_exceeded report, never
+    a silent pass.
     """
-    if lemma_id == "L-LINK":
-        return _check_link(g, _Budget(budget))
-    if lemma_id == "L-VOH":
-        return _check_voh(g, _Budget(budget))
-    if lemma_id == "L-COMP":
-        return _check_comp(g, _Budget(budget))
-    raise ValueError(f"unknown lemma id {lemma_id!r}")
+    if lemma_id not in LEMMA_IDS:
+        raise ValueError(f"unknown lemma id {lemma_id!r}")
+    facts = g if isinstance(g, GraphFacts) else GraphFacts(g, contains_isk4(g))
+    check = {"L-LINK": _check_link, "L-VOH": _check_voh, "L-COMP": _check_comp}
+    return check[lemma_id](facts, _Budget(budget))
 
 
 def _report(lemma, hyp, budget, holds=None, cw=None) -> LemmaReport:
@@ -300,8 +333,9 @@ def _report(lemma, hyp, budget, holds=None, cw=None) -> LemmaReport:
                        budget_exceeded=holds is None and hyp, checked=budget.spent)
 
 
-def _check_link(g: Graph, budget: _Budget) -> LemmaReport:
-    if contains_isk4(g) is not None:
+def _check_link(f: GraphFacts, budget: _Budget) -> LemmaReport:
+    g = f.g
+    if f.isk4 is not None:
         return LemmaReport("L-LINK", False, checked=budget.spent)
     for cycle in iter_induced_cycles(g):
         if not budget.take():
@@ -317,16 +351,17 @@ def _check_link(g: Graph, budget: _Budget) -> LemmaReport:
     return _report("L-LINK", True, budget, holds=True)
 
 
-def _k12n_free_hypothesis(g: Graph, with_prism: bool) -> bool:
-    if contains_isk4(g) is not None:
-        return False
-    if contains_fixed(g, "K33") is not None or contains_fixed(g, "K222") is not None:
-        return False
-    return not (with_prism and contains_fixed(g, "prism") is not None)
+def _attachment_hosts(f: GraphFacts) -> list[K12nEmbedding]:
+    """The maximal K_{1,2,n} (n >= 2) of an ISK4-, K33- and K222-free graph;
+    none when those shared hypotheses fail."""
+    if f.isk4 is not None or f.k33_or_k222:
+        return []
+    return f.k12n
 
 
-def _check_voh(g: Graph, budget: _Budget) -> LemmaReport:
-    embs = list(iter_maximal_k12n(g, 2)) if _k12n_free_hypothesis(g, False) else []
+def _check_voh(f: GraphFacts, budget: _Budget) -> LemmaReport:
+    g = f.g
+    embs = _attachment_hosts(f)
     if not embs:
         return LemmaReport("L-VOH", False, checked=budget.spent)
     for h in embs:
@@ -342,12 +377,12 @@ def _check_voh(g: Graph, budget: _Budget) -> LemmaReport:
     return _report("L-VOH", True, budget, holds=True)
 
 
-def _check_comp(g: Graph, budget: _Budget) -> LemmaReport:
-    embs = []
-    if _k12n_free_hypothesis(g, True):
-        embs = [h for h in iter_maximal_k12n(g, 3)
-                if h.vertex_mask() != g.vertex_mask]
-    if not embs:
+def _check_comp(f: GraphFacts, budget: _Budget) -> LemmaReport:
+    g = f.g
+    embs = [h for h in _attachment_hosts(f)
+            if h.n >= 3 and h.vertex_mask() != g.vertex_mask]
+    # prism-freeness is the last hypothesis tested: its search costs most
+    if not embs or f.prism is not None:
         return LemmaReport("L-COMP", False, checked=budget.spent)
     for h in embs:
         hmask = h.vertex_mask()

@@ -166,26 +166,41 @@ def _is_wheel(g: Graph, mask: int) -> bool:
 
 def _subset_search(g: Graph, min_size: int, check, high_degree_cap: int) -> Optional[int]:
     """Preorder subset DFS; subsets where more than high_degree_cap members
-    have induced degree >= 4 are dead (degrees only grow downward)."""
+    have induced degree >= 4 are dead (degrees only grow downward).
+
+    Induced degrees are kept bit-sliced: for each member u of the subset,
+    bits u of d0 and d1 hold its degree while it is below 4, and bit u of
+    high is set once it reaches 4.  Adding v counts one more neighbour for
+    every member adjacent to v, all at once, and sets v's own entry; each
+    level gets its own copies, so leaving v undoes nothing by hand.
+    """
+    adj = g.adj
     result = None
 
-    def visit(mask: int, nxt: int):
+    def visit(mask: int, d0: int, d1: int, high: int, nxt: int):
         nonlocal result
-        if result is not None:
-            return
-        if mask.bit_count() >= min_size and check(g, mask):
+        # every structure searched for has minimum degree 2, so a subset
+        # with a member of degree 0 or 1 is never handed to check
+        if mask.bit_count() >= min_size and not mask & ~(d1 | high) \
+                and check(g, mask):
             result = mask
             return
         for v in range(nxt, g.n):
-            new = mask | 1 << v
-            high = sum(1 for u in bits(new) if (g.adj[u] & new).bit_count() >= 4)
-            if high > high_degree_cap:
+            nbrs = adj[v] & mask
+            # add one to the 2-bit counters of v's neighbours; carries out
+            # of the top bit mark degree 4
+            carry = d0 & nbrs
+            top = d1 & carry
+            d = nbrs.bit_count()
+            h = high | top | (d >= 4) << v
+            if h.bit_count() > high_degree_cap:
                 continue
-            visit(new, v + 1)
+            visit(mask | 1 << v, d0 ^ nbrs | (d & 1) << v,
+                  d1 ^ carry | (d >> 1 & 1) << v, h, v + 1)
             if result is not None:
                 return
 
-    visit(0, 0)
+    visit(0, 0, 0, 0, 0)
     return result
 
 
@@ -200,15 +215,15 @@ def _mask_witness(g: Graph, mask: int) -> PatternWitness:
 
 
 _FIXED = {
-    "K33": (3, 3),
-    "K222": (2, 2, 2),
+    "K33": Graph.complete_multipartite((3, 3)),
+    "K222": Graph.complete_multipartite((2, 2, 2)),
 }
 
 
 def contains_fixed(g: Graph, which: str) -> Optional[PatternWitness]:
     """Detect one of K33, K222, prism (subdivided allowed), wheel."""
     if which in _FIXED:
-        return contains_induced(g, Graph.complete_multipartite(_FIXED[which]))
+        return contains_induced(g, _FIXED[which])
     if which == "prism":
         mask = _subset_search(g, 6, is_prism, 0)
     elif which == "wheel":

@@ -23,7 +23,7 @@ from .coloring import (
     structural_four_coloring,
 )
 from .graphs import Graph, GraphFormatError, code_to_graph6, is_connected, parse_graph6
-from .lemmas import check_lemma
+from .lemmas import GraphFacts, check_lemma
 from .patterns import contains_induced, contains_isk4
 
 CHECKS = ("ISK4-FILTER", "CHI-LE-4", "L-LINK", "L-VOH", "L-COMP",
@@ -117,8 +117,9 @@ class ScanReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ": "))
 
 
-def _run_check(name: str, g: Graph, free: bool, cfg: ScanConfig
+def _run_check(name: str, facts: GraphFacts, cfg: ScanConfig
                ) -> tuple[str, Optional[dict]]:
+    g, free = facts.g, facts.isk4 is None
     if name == "ISK4-FILTER":
         # a filter, not an assertion: graphs with an ISK4 are skipped
         return ("pass", None) if free else ("skip", None)
@@ -142,7 +143,7 @@ def _run_check(name: str, g: Graph, free: bool, cfg: ScanConfig
         if col.k > 4 or not col.validate(g):
             return "fail", {"reason": "returned colouring failed validation"}
         return "pass", None
-    report = check_lemma(g, name, budget=cfg.budget)
+    report = check_lemma(facts, name, budget=cfg.budget)
     if not report.hypothesis_satisfied:
         return "skip", None
     if report.budget_exceeded:
@@ -160,15 +161,15 @@ def _scan_one(cfg: ScanConfig, item: tuple[int, str]) -> dict:
         g = parse_graph6(text)
     except GraphFormatError as exc:
         return {"line_no": line_no, "g6": text, "error": str(exc)}
-    free = contains_isk4(g) is None
-    out = {
+    # one set of facts per graph, shared by every check, stays in the worker
+    facts = GraphFacts(g, contains_isk4(g))
+    return {
         "line_no": line_no, "g6": text, "n": g.n,
-        "isk4_free": free,
+        "isk4_free": facts.isk4 is None,
         "k123": contains_induced(g, _K123) is not None,
-        "checks": {name: _run_check(name, g, free, cfg)
+        "checks": {name: _run_check(name, facts, cfg)
                    for name in cfg.checks},
     }
-    return out
 
 
 def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:

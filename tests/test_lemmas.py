@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
-from isk4lab.graphs import Graph, bits, components, mask_of
+from isk4lab.graphs import Graph, bits, components, mask_of, parse_graph6
 from isk4lab.lemmas import (
+    LEMMA_IDS,
+    GraphFacts,
     LinkWitness,
     check_lemma,
     classify_component_attachment,
@@ -10,7 +14,7 @@ from isk4lab.lemmas import (
     is_linked,
     iter_induced_cycles,
 )
-from isk4lab.patterns import K12nEmbedding, contains_isk4
+from isk4lab.patterns import K12nEmbedding, contains_isk4, iter_maximal_k12n
 from test_graphs import random_graph_strategy
 from test_patterns import K123, all_graphs
 
@@ -230,3 +234,28 @@ class TestCheckLemma:
             r = check_lemma(g, lemma, budget=20000)
             assert r.conclusion_holds is not False
             assert r.consistent()
+
+
+class TestGraphFacts:
+    """check_lemma reports the same from a bare graph as from one GraphFacts
+    shared by all three lemmas, the way a scan runs them."""
+
+    @staticmethod
+    def assert_same_reports(graphs, budget):
+        for g in graphs:
+            facts = GraphFacts(g, contains_isk4(g))
+            for lemma in sorted(LEMMA_IDS):  # a scan's order
+                assert check_lemma(facts, lemma, budget) == \
+                    check_lemma(g, lemma, budget), (g.code(), lemma)
+            # L-COMP reads its n >= 3 hosts off the shared n >= 2 list
+            if "k12n" in vars(facts):
+                assert [h for h in facts.k12n if h.n >= 3] == \
+                    list(iter_maximal_k12n(g, 3))
+
+    def test_universe_n_le_5(self):
+        self.assert_same_reports((g for n in range(6) for g in all_graphs(n)), None)
+
+    def test_first_fixture_lines(self):
+        path = Path(__file__).parent / "fixtures" / "scan_stream_100k.g6"
+        lines = path.read_text().splitlines()[:2000]
+        self.assert_same_reports(map(parse_graph6, lines), 20000)

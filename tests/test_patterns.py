@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,15 @@ from isk4lab.graphs import Graph, bits, mask_of
 from isk4lab.patterns import (
     K12nEmbedding,
     SquareLinkStructure,
+    _is_wheel,
     contains_fixed,
     contains_induced,
     contains_isk4,
     find_maximal_k12n,
     find_rich_square,
+    is_k4_subdivision,
     is_maximal_k12n,
+    is_prism,
     iter_maximal_k12n,
 )
 from test_graphs import random_graph_strategy
@@ -100,6 +106,71 @@ class TestIsk4:
     @given(random_graph_strategy(max_n=7))
     def test_presence_matches_smoothing(self, g):
         assert (contains_isk4(g) is not None) == oracles.has_isk4(g)
+
+
+def first_subset(g, min_size, check):
+    """First vertex set in lexicographic order of sorted tuples, among all
+    subsets of at least min_size vertices, that check accepts: no pruning."""
+    subsets = sorted(sub for r in range(min_size, g.n + 1)
+                     for sub in combinations(range(g.n), r))
+    for sub in subsets:
+        if check(g, mask_of(sub)):
+            return mask_of(sub)
+    return None
+
+
+def _fixed_mask(which):
+    def search(g):
+        w = contains_fixed(g, which)
+        return None if w is None else w.vertex_mask()
+    return search
+
+
+# the searcher, the least size a witness can have, and the predicate it
+# decides subsets with; wheel is the one search that lets a vertex (the hub)
+# reach induced degree 4
+SUBSET_SEARCHES = {
+    "isk4": (contains_isk4, 4, is_k4_subdivision),
+    "prism": (_fixed_mask("prism"), 6, is_prism),
+    "wheel": (_fixed_mask("wheel"), 5, _is_wheel),
+}
+
+
+def sampled_graphs(seed, sizes, per_size):
+    """Seeded random graphs; every other one has an induced prism planted on
+    six random vertices, since random graphs seldom hold one."""
+    rng = random.Random(seed)
+    for n in sizes:
+        for i in range(per_size):
+            p = (0.3, 0.45, 0.6, 0.75)[i % 4]
+            edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < p}
+            if i % 2:
+                six = rng.sample(range(n), 6)
+                edges -= set(combinations(sorted(six), 2))
+                edges |= {tuple(sorted((six[u], six[v]))) for u, v in PRISM6.edges()}
+            yield Graph.from_edges(n, sorted(edges))
+
+
+class TestSubsetSearchAgainstUnpruned:
+    """The degree-pruned subset search returns exactly the least subset
+    that checking every subset in lexicographic order finds."""
+
+    @pytest.mark.parametrize("name", SUBSET_SEARCHES)
+    def test_exhaustive_n_le_5(self, name):
+        search, min_size, check = SUBSET_SEARCHES[name]
+        for n in range(6):
+            for g in all_graphs(n):
+                assert search(g) == first_subset(g, min_size, check), g.code()
+
+    @pytest.mark.parametrize("name", SUBSET_SEARCHES)
+    def test_sampled_n7_to_9(self, name):
+        search, min_size, check = SUBSET_SEARCHES[name]
+        found = 0
+        for g in sampled_graphs(20, (7, 8, 9), 24):
+            want = first_subset(g, min_size, check)
+            assert search(g) == want, (g.n, g.edges())
+            found += want is not None
+        assert found >= 10  # the sample holds witnesses, not only misses
 
 
 class TestContainsFixed:

@@ -2,10 +2,13 @@
 handling, witness capping, worker-count determinism, and the enumerator."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import isk4lab.lemmas as lemmas
+import isk4lab.scan as scan
 from isk4lab.graphs import Graph, parse_graph6, write_graph6
 from isk4lab.scan import CHECKS, ScanConfig, enumerate_small, scan_stream
 
@@ -156,6 +159,37 @@ class TestDeterminism:
         with open(FIXTURES / "small_graphs_n_le_5.g6") as fh:
             from_file = run(fh)
         assert from_file.to_json() == run(SMALL).to_json()
+
+
+class TestFactsOncePerGraph:
+    def test_each_fact_computed_once(self, monkeypatch):
+        """A scan with every check runs the ISK4 search once per graph and
+        each shared lemma hypothesis at most once."""
+        calls = Counter()
+
+        def count(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[key(*args)] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(scan, "contains_isk4", lambda g: "isk4")
+        count(lemmas, "contains_isk4", lambda g: "isk4")
+        count(lemmas, "contains_fixed", lambda g, which: which)
+        count(lemmas, "iter_maximal_k12n", lambda g, n_min: "k12n")
+        applicable = Counter()
+        lines = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
+        for line in lines[:700]:
+            calls.clear()
+            counters = run([line], checks=CHECKS).totals()["checks"]
+            assert calls["isk4"] == 1, line
+            assert all(calls[k] <= 1 for k in ("K33", "K222", "prism", "k12n")), line
+            applicable.update(c for c in ("L-VOH", "L-COMP")
+                              if counters[c]["skip"] == 0)
+        # the window reaches both attachment lemmas past their hypotheses
+        assert applicable["L-VOH"] > 0 and applicable["L-COMP"] > 0
 
 
 class TestEnumerateSmall:
