@@ -14,6 +14,7 @@ on stdout (enumerate emits raw graph6 lines); stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -39,7 +40,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .lemmas import check_lemma
+from .lemmas import LEMMA_IDS, check_lemma
 from .patterns import (
     contains_fixed,
     contains_isk4,
@@ -59,16 +60,20 @@ class _CliError(Exception):
     pass
 
 
-def _env_budget() -> Optional[int]:
-    raw = os.environ.get("ISK4LAB_BUDGET")
+def _budget(flag: Optional[str]) -> Optional[int]:
+    """The cap given by --budget, else by ISK4LAB_BUDGET, else None; either
+    must be a positive integer."""
+    source, raw = "--budget", flag
     if raw is None:
-        return None
+        source, raw = "ISK4LAB_BUDGET", os.environ.get("ISK4LAB_BUDGET")
+        if raw is None:
+            return None
     try:
         value = int(raw)
     except ValueError:
-        raise _CliError(f"ISK4LAB_BUDGET is not an integer: {raw!r}") from None
+        raise _CliError(f"{source} is not an integer: {raw!r}") from None
     if value <= 0:
-        raise _CliError("ISK4LAB_BUDGET must be positive")
+        raise _CliError(f"{source} must be positive")
     return value
 
 
@@ -114,15 +119,12 @@ def _cmd_detect(args) -> int:
     elif name == "k12n":
         emb = find_maximal_k12n(g, args.n_min)
         if emb is not None:
-            doc = {"found": True, "pattern": name, "a": emb.a,
-                   "b": list(emb.b), "c": list(emb.c), "n": len(emb.c)}
+            doc = {"found": True, "pattern": name, **dataclasses.asdict(emb),
+                   "n": emb.n}
     elif name == "rich-square":
         s = find_rich_square(g)
         if s is not None:
-            doc = {"found": True, "pattern": name,
-                   "square": list(s.square), "whole": s.whole,
-                   "links": [{"path": list(l.path), "center": l.center}
-                             for l in s.links]}
+            doc = {"found": True, "pattern": name, **dataclasses.asdict(s)}
     else:
         w = contains_fixed(g, {"k33": "K33", "k222": "K222"}.get(name, name))
         if w is not None:
@@ -181,30 +183,21 @@ def _cmd_decompose(args) -> int:
         {"root_n": lg.root.n, "edge_of": [list(e) for e in lg.edge_of]} \
         if lg else None
     cc = find_clique_cutset(g)
-    doc["clique_cutset"] = {"vertices": list(cc.vertices)} if cc else None
+    doc["clique_cutset"] = dataclasses.asdict(cc) if cc else None
     p2 = find_proper_2cutset(g)
     doc["proper_2cutset"] = \
         {"a": p2.a, "b": p2.b, "x": sorted(bits(p2.x)),
          "y": sorted(bits(p2.y))} if p2 else None
     rs = find_rich_square(g)
-    doc["rich_square"] = \
-        {"square": list(rs.square), "whole": rs.whole,
-         "links": [{"path": list(l.path), "center": l.center}
-                   for l in rs.links]} if rs else None
+    doc["rich_square"] = dataclasses.asdict(rs) if rs else None
     _emit(args, doc)
     return EXIT_OK
 
 
 def _cmd_check_lemma(args) -> int:
     g = _load_graph(args.input, args.format)
-    budget = args.budget if args.budget is not None else _env_budget()
-    report = check_lemma(g, args.id.upper(), budget=budget)
-    _emit(args, {"lemma": report.lemma,
-                 "hypothesis_satisfied": report.hypothesis_satisfied,
-                 "conclusion_holds": report.conclusion_holds,
-                 "counterwitness": report.counterwitness,
-                 "budget_exceeded": report.budget_exceeded,
-                 "checked": report.checked})
+    report = check_lemma(g, args.id.upper(), budget=_budget(args.budget))
+    _emit(args, dataclasses.asdict(report))
     if report.counterwitness is not None:
         return EXIT_WITNESS
     return EXIT_OK
@@ -212,10 +205,10 @@ def _cmd_check_lemma(args) -> int:
 
 def _cmd_scan(args) -> int:
     names = tuple(c.strip().upper() for c in args.checks.split(",") if c.strip())
-    budget = args.budget if args.budget is not None else _env_budget()
+    budget = _budget(args.budget)
     try:
-        cfg = ScanConfig(checks=names, budget=budget or 20000,
-                         parallelism=args.jobs)
+        cfg = ScanConfig(checks=names, parallelism=args.jobs,
+                         budget=ScanConfig.budget if budget is None else budget)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
     if args.input == "-":
@@ -286,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("check-lemma", help="test one lemma on one graph")
-    sp.add_argument("--id", required=True, choices=("l-link", "l-voh", "l-comp"))
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--id", required=True,
+                    choices=[i.lower() for i in LEMMA_IDS])
+    sp.add_argument("--budget", default=None,
                     help="instance cap; default from ISK4LAB_BUDGET, "
                          "else unlimited")
     _add_graph_input(sp)
@@ -297,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checks", required=True,
                     help="comma-separated subset of " + ",".join(CHECKS))
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", default=None,
                     help="per-graph cap; default from ISK4LAB_BUDGET, "
-                         "else 20000")
+                         f"else {ScanConfig.budget}")
     sp.add_argument("input", nargs="?", default="-",
                     help="graph6 file, or - for stdin (default)")
     sp.set_defaults(func=_cmd_scan)

@@ -113,15 +113,13 @@ class Graph:
 
     @classmethod
     def from_code(cls, n: int, code: int) -> "Graph":
-        """Build from the column-major upper-triangle bit code (graph6 bit order)."""
+        """Build from the column-major upper-triangle bit code (graph6 bit order):
+        column j starts at bit j(j-1)/2 and is the mask of j's neighbours below j."""
         adj = [0] * n
-        p = 0
         for j in range(1, n):
-            for i in range(j):
-                if code >> p & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                p += 1
+            adj[j] = code >> (j * (j - 1) // 2) & ((1 << j) - 1)
+            for i in bits(adj[j]):
+                adj[i] |= 1 << j
         return cls(n, adj)
 
     # -- basic queries -----------------------------------------------------
@@ -145,12 +143,8 @@ class Graph:
     def code(self) -> int:
         """Column-major upper-triangle bit code; inverse of from_code."""
         c = 0
-        p = 0
         for j in range(1, self.n):
-            row = self.adj[j]
-            for i in range(j):
-                c |= (row >> i & 1) << p
-                p += 1
+            c |= (self.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
         return c
 
     def complement(self) -> "Graph":
@@ -286,17 +280,12 @@ def parse_graph6(line: str) -> Graph:
             len(s))
     if len(s) - 1 > nbytes:
         raise GraphFormatError("trailing garbage after graph6 body", 1 + nbytes)
-    code = 0
-    p = 0
-    for off in range(1, 1 + nbytes):
-        group = ord(s[off]) - 63
-        for b in range(5, -1, -1):
-            if p < nbits:
-                code |= (group >> b & 1) << p
-            elif group >> b & 1:
-                raise GraphFormatError("nonzero padding bits", off)
-            p += 1
-    return Graph.from_code(n, code)
+    # the body as one bit string, bit p of the code at index p
+    body = "".join(f"{ord(ch) - 63:06b}" for ch in s[1:])
+    if "1" in body[nbits:]:
+        raise GraphFormatError("nonzero padding bits",
+                               1 + body.index("1", nbits) // 6)
+    return Graph.from_code(n, int(body[:nbits][::-1] or "0", 2))
 
 
 def write_graph6(g: Graph) -> str:
@@ -308,16 +297,11 @@ def write_graph6(g: Graph) -> str:
 
 def code_to_graph6(n: int, code: int) -> str:
     """Encode an upper-triangle bit code directly (used by the enumerator)."""
-    out = [chr(n + 63)]
     nbits = n * (n - 1) // 2
-    for start in range(0, nbits, 6):
-        group = 0
-        for b in range(6):
-            p = start + b
-            if p < nbits and code >> p & 1:
-                group |= 1 << (5 - b)
-        out.append(chr(group + 63))
-    return "".join(out)
+    # bit p of the code at index p, then zero padding to whole 6-bit groups
+    body = f"{code:0{nbits}b}"[::-1][:nbits] + "0" * (-nbits % 6)
+    return chr(n + 63) + "".join(chr(int(body[i:i + 6], 2) + 63)
+                                 for i in range(0, len(body), 6))
 
 
 # -- edge-list text --------------------------------------------------------

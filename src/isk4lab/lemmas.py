@@ -8,6 +8,11 @@ reports whether the statement's hypotheses held and, if so, whether the
 conclusion survived exhaustive checking; a counterwitness would be evidence of
 an implementation bug and is returned in full.
 
+Each lemma is one entry of a table: from a graph's facts it gives None when
+its hypotheses fail, else an iterator with one item per instance, the
+counterwitness of that instance or None.  `check_lemma` runs every lemma
+through one loop, the only place that counts instances against the budget.
+
 The three lemmas share their hypotheses, so the per-graph facts they read
 (the ISK4 mask, K33/K222 and prism presence, the maximal K_{1,2,n} list) live
 on one `GraphFacts` per graph, each computed at most once.  A scan builds it
@@ -29,8 +34,6 @@ from .patterns import (
     contains_isk4,
     iter_maximal_k12n,
 )
-
-LEMMA_IDS = ("L-LINK", "L-VOH", "L-COMP")
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def is_linked(g: Graph, cycle: tuple[int, ...], v: int) -> Optional[LinkWitness]
 
     found: list[LinkWitness] = []
 
-    def close(e: int, pmask: int, prev: int, done: list, nonv: int, endm: int) -> bool:
+    def close(e: int, pmask: int, prev: int, nonv: int, endm: int) -> bool:
         if pmask >> e & 1 or nonv >> e & 1:
             return False
         if g.adj[e] & pmask != 1 << prev:
@@ -113,7 +116,7 @@ def is_linked(g: Graph, cycle: tuple[int, ...], v: int) -> Optional[LinkWitness]
         if cn:  # interior touched the cycle: the path must stop right here
             if cn.bit_count() == 1:
                 e = cn.bit_length() - 1
-                if close(e, pmask, last, done, nonv, endm):
+                if close(e, pmask, last, nonv, endm):
                     finish(path + (e,), done)
             return
         for w in bits(g.adj[last] & ~cmask & ~nonv & ~pmask):
@@ -143,7 +146,7 @@ def is_linked(g: Graph, cycle: tuple[int, ...], v: int) -> Optional[LinkWitness]
         if found:
             return
         if 1 << first & cmask:
-            if close(first, 1 << v, v, done, nonv, endm):
+            if close(first, 1 << v, v, nonv, endm):
                 finish((v, first), done)
         else:
             if g.adj[first] & nonv:
@@ -273,20 +276,6 @@ class LemmaReport:
         return has_cw == (self.hypothesis_satisfied and self.conclusion_holds is False)
 
 
-class _Budget:
-    def __init__(self, limit: Optional[int]):
-        self.left = limit
-        self.spent = 0
-
-    def take(self) -> bool:
-        if self.left is not None and self.left <= 0:
-            return False
-        if self.left is not None:
-            self.left -= 1
-        self.spent += 1
-        return True
-
-
 class GraphFacts:
     """One graph plus the facts the lemma checks share, each computed on
     first use through this module's detectors and then kept."""
@@ -311,6 +300,70 @@ class GraphFacts:
         return list(iter_maximal_k12n(self.g, 2))
 
 
+def _link(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
+    if f.isk4 is not None:
+        return None
+    g = f.g
+
+    def instances():
+        for cycle in iter_induced_cycles(g):
+            yield None  # the cycle is an instance too, as is each pair below
+            for v in bits(g.vertex_mask & ~mask_of(cycle)):
+                w = is_linked(g, cycle, v)
+                yield None if w is None else \
+                    {"cycle": cycle, "vertex": v, "paths": w.paths}
+
+    return instances()
+
+
+def _attachment_hosts(f: GraphFacts) -> list[K12nEmbedding]:
+    """The maximal K_{1,2,n} (n >= 2) of an ISK4-, K33- and K222-free graph;
+    none when those shared hypotheses fail."""
+    if f.isk4 is not None or f.k33_or_k222:
+        return []
+    return f.k12n
+
+
+def _voh(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
+    g, hosts = f.g, _attachment_hosts(f)
+    if not hosts:
+        return None
+
+    def instances():
+        for h in hosts:
+            for v in bits(g.vertex_mask & ~h.vertex_mask()):
+                att = classify_vertex_attachment(g, h, v)
+                yield None if att.tag != "other" else \
+                    {"embedding": (h.a, h.b, h.c), "vertex": v,
+                     "attachment": att.witness}
+
+    return instances()
+
+
+def _comp(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
+    g = f.g
+    hosts = [h for h in _attachment_hosts(f)
+             if h.n >= 3 and h.vertex_mask() != g.vertex_mask]
+    # prism-freeness is the last hypothesis tested: its search costs most
+    if not hosts or f.prism is not None:
+        return None
+
+    def instances():
+        for h in hosts:
+            for comp in components(g, g.vertex_mask & ~h.vertex_mask()):
+                att = classify_component_attachment(g, h, comp)
+                yield None if att.tag != "other" else \
+                    {"embedding": (h.a, h.b, h.c),
+                     "component": tuple(bits(comp)),
+                     "attachment": att.witness}
+
+    return instances()
+
+
+_LEMMAS = {"L-LINK": _link, "L-VOH": _voh, "L-COMP": _comp}
+LEMMA_IDS = tuple(_LEMMAS)
+
+
 def check_lemma(g: Graph | GraphFacts, lemma_id: str,
                 budget: Optional[int] = None) -> LemmaReport:
     """Test one lemma's conclusion over all its instances in g.
@@ -324,75 +377,18 @@ def check_lemma(g: Graph | GraphFacts, lemma_id: str,
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     facts = g if isinstance(g, GraphFacts) else GraphFacts(g, contains_isk4(g))
-    check = {"L-LINK": _check_link, "L-VOH": _check_voh, "L-COMP": _check_comp}
-    return check[lemma_id](facts, _Budget(budget))
-
-
-def _report(lemma, hyp, budget, holds=None, cw=None) -> LemmaReport:
-    return LemmaReport(lemma, hyp, holds, cw,
-                       budget_exceeded=holds is None and hyp, checked=budget.spent)
-
-
-def _check_link(f: GraphFacts, budget: _Budget) -> LemmaReport:
-    g = f.g
-    if f.isk4 is not None:
-        return LemmaReport("L-LINK", False, checked=budget.spent)
-    for cycle in iter_induced_cycles(g):
-        if not budget.take():
-            return _report("L-LINK", True, budget)
-        cmask = mask_of(cycle)
-        for v in bits(g.vertex_mask & ~cmask):
-            if not budget.take():
-                return _report("L-LINK", True, budget)
-            w = is_linked(g, cycle, v)
-            if w is not None:
-                return _report("L-LINK", True, budget, holds=False,
-                               cw={"cycle": cycle, "vertex": v, "paths": w.paths})
-    return _report("L-LINK", True, budget, holds=True)
-
-
-def _attachment_hosts(f: GraphFacts) -> list[K12nEmbedding]:
-    """The maximal K_{1,2,n} (n >= 2) of an ISK4-, K33- and K222-free graph;
-    none when those shared hypotheses fail."""
-    if f.isk4 is not None or f.k33_or_k222:
-        return []
-    return f.k12n
-
-
-def _check_voh(f: GraphFacts, budget: _Budget) -> LemmaReport:
-    g = f.g
-    embs = _attachment_hosts(f)
-    if not embs:
-        return LemmaReport("L-VOH", False, checked=budget.spent)
-    for h in embs:
-        hmask = h.vertex_mask()
-        for v in bits(g.vertex_mask & ~hmask):
-            if not budget.take():
-                return _report("L-VOH", True, budget)
-            att = classify_vertex_attachment(g, h, v)
-            if att.tag == "other":
-                return _report("L-VOH", True, budget, holds=False,
-                               cw={"embedding": (h.a, h.b, h.c), "vertex": v,
-                                   "attachment": att.witness})
-    return _report("L-VOH", True, budget, holds=True)
-
-
-def _check_comp(f: GraphFacts, budget: _Budget) -> LemmaReport:
-    g = f.g
-    embs = [h for h in _attachment_hosts(f)
-            if h.n >= 3 and h.vertex_mask() != g.vertex_mask]
-    # prism-freeness is the last hypothesis tested: its search costs most
-    if not embs or f.prism is not None:
-        return LemmaReport("L-COMP", False, checked=budget.spent)
-    for h in embs:
-        hmask = h.vertex_mask()
-        for comp in components(g, g.vertex_mask & ~hmask):
-            if not budget.take():
-                return _report("L-COMP", True, budget)
-            att = classify_component_attachment(g, h, comp)
-            if att.tag == "other":
-                return _report("L-COMP", True, budget, holds=False,
-                               cw={"embedding": (h.a, h.b, h.c),
-                                   "component": tuple(bits(comp)),
-                                   "attachment": att.witness})
-    return _report("L-COMP", True, budget, holds=True)
+    instances = _LEMMAS[lemma_id](facts)
+    if instances is None:
+        return LemmaReport(lemma_id, False)
+    checked = 0
+    # an instance is evaluated before the budget is looked at, so running
+    # out costs at most one instance more than the budget allows
+    for counterwitness in instances:
+        if budget is not None and checked >= budget:
+            return LemmaReport(lemma_id, True, budget_exceeded=True,
+                               checked=checked)
+        checked += 1
+        if counterwitness is not None:
+            return LemmaReport(lemma_id, True, False, counterwitness,
+                               checked=checked)
+    return LemmaReport(lemma_id, True, True, checked=checked)

@@ -23,11 +23,10 @@ from .coloring import (
     structural_four_coloring,
 )
 from .graphs import Graph, GraphFormatError, code_to_graph6, is_connected, parse_graph6
-from .lemmas import GraphFacts, check_lemma
+from .lemmas import LEMMA_IDS, GraphFacts, check_lemma
 from .patterns import contains_induced, contains_isk4
 
-CHECKS = ("ISK4-FILTER", "CHI-LE-4", "L-LINK", "L-VOH", "L-COMP",
-          "STRUCTURAL-COLOR")
+CHECKS = ("ISK4-FILTER", "CHI-LE-4", *LEMMA_IDS, "STRUCTURAL-COLOR")
 STATUSES = ("pass", "fail", "skip", "budget")
 
 _K123 = Graph.complete_multipartite((1, 2, 3))

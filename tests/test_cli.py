@@ -20,6 +20,7 @@ import isk4lab.cli as cli
 from isk4lab.cli import main
 from isk4lab.graphs import Graph, write_graph6
 from isk4lab.lemmas import LemmaReport
+from isk4lab.scan import ScanConfig
 
 from test_patterns import K33, K123, K222, PRISM6
 
@@ -231,11 +232,39 @@ class TestScanCommand:
         assert code == 4
         assert doc["totals"]["parse_failures"] == 1
 
+    @pytest.mark.parametrize("flag,env,want", [
+        (None, None, ScanConfig.budget), (None, "7", 7), ("5", "7", 5)])
+    def test_budget_sources(self, capsys, monkeypatch, flag, env, want):
+        monkeypatch.delenv("ISK4LAB_BUDGET", raising=False)
+        if env is not None:
+            monkeypatch.setenv("ISK4LAB_BUDGET", env)
+        argv = ["scan", "--checks", "L-LINK", FIXTURE]
+        if flag is not None:
+            argv[1:1] = ["--budget", flag]
+        code, doc = run(capsys, *argv)
+        assert doc["meta"]["budget"] == want
+
     def test_unknown_check_rejected(self, capsys):
         assert main(["scan", "--checks", "chi-le-5", FIXTURE]) == 2
 
     def test_missing_file(self, capsys):
         assert main(["scan", "--checks", "CHI-LE-4", "no/such/file.g6"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-lemma", "--id", "l-link", BOWTIE],
+    ["scan", "--checks", "L-LINK", FIXTURE]], ids=["check-lemma", "scan"])
+@pytest.mark.parametrize("flag,env", [
+    ("0", None), ("-3", None), ("x", None), (None, "0"), (None, "-3")])
+def test_budget_must_be_positive(capsys, monkeypatch, argv, flag, env):
+    # one rule for --budget and ISK4LAB_BUDGET on both subcommands
+    if env is not None:
+        monkeypatch.setenv("ISK4LAB_BUDGET", env)
+    if flag is not None:
+        argv = [argv[0], "--budget", flag, *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 class TestEnumerateCommand:

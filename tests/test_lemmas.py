@@ -16,11 +16,19 @@ from isk4lab.lemmas import (
 )
 from isk4lab.patterns import K12nEmbedding, contains_isk4, iter_maximal_k12n
 from test_graphs import random_graph_strategy
-from test_patterns import K123, all_graphs
+from test_patterns import K33, K123, all_graphs
 
 # K_{1,2,3} plus a vertex seeing two of the c's: the smallest host where a
 # c-vertex is linked to a 4-cycle through the extra vertex
 LINK_HOST = Graph.from_edges(7, K123.edges() + [(3, 6), (4, 6)])
+
+
+BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+FIXTURE = Path(__file__).parent / "fixtures" / "scan_stream_100k.g6"
+# the middle path vertex must see a, otherwise the b1..b2 stretch closes an
+# induced K4 subdivision and the L-COMP hypotheses fail
+COMP_HOST = Graph.from_edges(9, K123.edges()
+                             + [(1, 6), (6, 7), (7, 8), (2, 8), (0, 7)])
 
 
 def k124_plus(attach):
@@ -200,11 +208,7 @@ class TestCheckLemma:
         assert not check_lemma(Graph.cycle(5), "L-VOH").hypothesis_satisfied
 
     def test_comp_holds_on_path_host(self):
-        # the middle path vertex must see a, otherwise the b1..b2 stretch
-        # closes an induced K4 subdivision and the hypotheses fail
-        g = Graph.from_edges(9, K123.edges()
-                             + [(1, 6), (6, 7), (7, 8), (2, 8), (0, 7)])
-        r = check_lemma(g, "L-COMP")
+        r = check_lemma(COMP_HOST, "L-COMP")
         assert r.hypothesis_satisfied and r.conclusion_holds and r.consistent()
 
     def test_comp_not_applicable_when_h_covers_g(self):
@@ -217,6 +221,26 @@ class TestCheckLemma:
     def test_zero_budget(self):
         r = check_lemma(Graph.cycle(6), "L-LINK", budget=0)
         assert r.budget_exceeded and r.conclusion_holds is None
+
+    @pytest.mark.parametrize("lemma", LEMMA_IDS)
+    def test_budget_counts_instances(self, lemma):
+        # a budget of b checks exactly b instances; one at least as large as
+        # the unbudgeted count changes nothing
+        fixture = [parse_graph6(line)
+                   for line in FIXTURE.read_text().splitlines()[:2000]]
+        held = [g for g in fixture
+                if check_lemma(g, lemma).hypothesis_satisfied][:4]
+        assert len(held) == 4, lemma
+        for g in [Graph.cycle(6), K33, BOWTIE, k124_plus([0, 1]), COMP_HOST,
+                  *held]:
+            full = check_lemma(g, lemma)
+            for b in range(full.checked + 2):
+                r = check_lemma(g, lemma, budget=b)
+                if b >= full.checked:
+                    assert r == full, (g.code(), b)
+                else:
+                    assert r.budget_exceeded and r.checked == b, (g.code(), b)
+                    assert r.conclusion_holds is None and r.consistent()
 
     def test_exhaustive_n5_no_counterwitnesses(self):
         # the lemmas are theorems: a counterwitness is an implementation bug
@@ -256,6 +280,5 @@ class TestGraphFacts:
         self.assert_same_reports((g for n in range(6) for g in all_graphs(n)), None)
 
     def test_first_fixture_lines(self):
-        path = Path(__file__).parent / "fixtures" / "scan_stream_100k.g6"
-        lines = path.read_text().splitlines()[:2000]
+        lines = FIXTURE.read_text().splitlines()[:2000]
         self.assert_same_reports(map(parse_graph6, lines), 20000)
