@@ -196,7 +196,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check_lemma(args) -> int:
     g = _load_graph(args.input, args.format)
-    report = check_lemma(g, args.id.upper(), budget=_budget(args.budget))
+    report = check_lemma(g, args.id, budget=_budget(args.budget))
     _emit(args, dataclasses.asdict(report))
     if report.counterwitness is not None:
         return EXIT_WITNESS
@@ -279,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("check-lemma", help="test one lemma on one graph")
-    sp.add_argument("--id", required=True,
-                    choices=[i.lower() for i in LEMMA_IDS])
+    sp.add_argument("--id", required=True, type=str.upper, choices=LEMMA_IDS)
     sp.add_argument("--budget", default=None,
                     help="instance cap; default from ISK4LAB_BUDGET, "
                          "else unlimited")

@@ -87,14 +87,14 @@ class ColoringFailure:
     """Structured refusal: which expectation broke, where, and the witnesses."""
 
     kind: str  # "hypothesis_violation" or "chromatic_bound_exceeded"
-    rule: Optional[int]
+    rule: int
     scope: int
     evidence: dict
     conjecture_counterexample: bool = False
 
 
 class _Fail(Exception):
-    def __init__(self, kind: str, rule: Optional[int], scope: int, evidence: dict):
+    def __init__(self, kind: str, rule: int, scope: int, evidence: dict):
         super().__init__(kind)
         self.failure = ColoringFailure(kind, rule, scope, evidence)
 
@@ -457,7 +457,7 @@ _TABLE = (
           check=lambda s, n: n is not None,
           apply=lambda s, n, sub: (dict(zip(s.back, range(n))), {})),
     _Rule("CliqueCutsetSplit",
-          find=lambda s: find_clique_cutset(s.h, kmax=3),
+          find=lambda s: find_clique_cutset(s.h),
           encode=lambda s, cc: {"cutset": s.orig(cc.vertices)},
           decode=lambda s, d: CliqueCutset(tuple(sorted(s.local(d["cutset"])))),
           apply=_split_clique),
@@ -577,23 +577,15 @@ def _solve(g: Graph, mask: int, depth: int, pick: Callable,
     return dict(zip(s.back, canon))
 
 
-def structural_four_coloring(g: Graph, *, check_isk4_free: bool = False
-                             ) -> Union[tuple[Coloring, ColoringTrace],
-                                        ColoringFailure]:
+def structural_four_coloring(g: Graph) -> Union[tuple[Coloring, ColoringTrace],
+                                                ColoringFailure]:
     """Colour g with at most four colours by structural recursion.
 
     Returns (Coloring, ColoringTrace), or a ColoringFailure carrying the
     violated expectation.  The intended domain is graphs with no induced K4
-    subdivision; with check_isk4_free the (expensive) freeness test runs up
-    front instead of being assumed.
+    subdivision, which is assumed, not tested: a caller that wants the
+    (expensive) test runs contains_isk4 first.
     """
-    if check_isk4_free:
-        w = contains_isk4(g)
-        if w is not None:
-            return ColoringFailure(
-                "hypothesis_violation", None, g.vertex_mask,
-                {"expectation": "input graph free of induced K4 subdivisions",
-                 "isk4_vertices": sorted(bits(w))})
     steps: list[TraceStep] = []
     try:
         col = _solve(g, g.vertex_mask, 0, _first_rule, steps)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .graphs import Graph, bits, components, is_connected, mask_of
+from .graphs import Graph, bits, chain, components, is_clique, mask_of
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,10 @@ class CliqueCutset:
     vertices: tuple[int, ...]
 
     def validate(self, g: Graph) -> bool:
-        if any(not g.has_edge(u, v) for u, v in combinations(self.vertices, 2)):
+        cut = mask_of(self.vertices)
+        if cut.bit_count() != len(self.vertices) or not is_clique(g, cut):
             return False
-        rest = g.vertex_mask & ~mask_of(self.vertices)
-        return len(components(g, rest)) >= 2
+        return len(components(g, g.vertex_mask & ~cut)) >= 2
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,20 @@ CutsetFinding = Union[CliqueCutset, Proper2Cutset]
 
 
 def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
-    """Does g[side ∪ {a,b}] induce a single path with ends a and b?"""
+    """Does g[side ∪ {a,b}] induce a single path with ends a and b?  It does
+    exactly when the walk from a ends at b and covers the whole set."""
     sub = side | 1 << a | 1 << b
-    for v in bits(side):
-        if (g.adj[v] & sub).bit_count() != 2:
-            return False
-    if (g.adj[a] & sub).bit_count() != 1 or (g.adj[b] & sub).bit_count() != 1:
+    first = g.adj[a] & sub
+    if first.bit_count() != 1:
         return False
-    return is_connected(g, sub)
+    walk = chain(g, sub, a, first.bit_length() - 1)
+    return walk[-1] == b and len(walk) == sub.bit_count() - 1
 
 
-def find_clique_cutset(g: Graph, kmax: int = 3) -> Optional[CliqueCutset]:
-    """Least clique cutset of size <= kmax: smallest size first, then by
+def find_clique_cutset(g: Graph) -> Optional[CliqueCutset]:
+    """Least clique cutset of size <= 3: smallest size first, then by
     sorted vertex list. Size 0 (disconnected input) and 1 (cutvertex) count."""
-    for size in range(kmax + 1):
+    for size in range(4):
         for combo in combinations(range(g.n), size):
             if any(not g.has_edge(u, v) for u, v in combinations(combo, 2)):
                 continue

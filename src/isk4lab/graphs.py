@@ -172,7 +172,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-# -- subgraphs, components, attachments -----------------------------------
+# -- subgraphs, components, attachments, chains ----------------------------
 
 
 def induced_subgraph(g: Graph, vset: int) -> tuple[Graph, list[int]]:
@@ -254,6 +254,25 @@ def is_induced_cycle(g: Graph, vertices: tuple[int, ...] | list[int]) -> bool:
     """
     return len(vertices) >= 3 and g.has_edge(vertices[0], vertices[-1]) \
         and is_induced_path(g, vertices[:-1]) and is_induced_path(g, vertices[1:])
+
+
+def is_clique(g: Graph, mask: int) -> bool:
+    """Are the vertices of mask pairwise adjacent? True for 0 and 1 vertices."""
+    return all((g.adj[v] | 1 << v) & mask == mask for v in bits(mask))
+
+
+def chain(g: Graph, mask: int, prev: int, cur: int) -> list[int]:
+    """Walk g[mask] from prev through its neighbour cur and on through
+    vertices of degree 2: cur and every vertex after it, up to and including
+    the first one whose degree in g[mask] is not 2, or prev again if the
+    chain closes (prev is the only vertex the walk can meet again, since a
+    degree-2 vertex on it has both its neighbours on it)."""
+    start = prev
+    walk = [cur]
+    while cur != start and (g.adj[cur] & mask).bit_count() == 2:
+        prev, cur = cur, (g.adj[cur] & mask & ~(1 << prev)).bit_length() - 1
+        walk.append(cur)
+    return walk
 
 
 # -- graph6 ----------------------------------------------------------------

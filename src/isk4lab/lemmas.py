@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import Graph, bits, components, is_induced_cycle, is_induced_path, mask_of
+from .graphs import (Graph, attachment, bits, components, is_clique, is_induced_cycle,
+                     is_induced_path, mask_of)
 from .patterns import (
     K12nEmbedding,
     PatternWitness,
@@ -195,8 +196,7 @@ class ComponentAttachmentClass:
         if self.tag == "empty":
             return len(w) == 0
         if self.tag == "clique":
-            return all(g.has_edge(w[i], w[j])
-                       for i in range(len(w)) for j in range(i + 1, len(w)))
+            return is_clique(g, mask_of(w))
         if self.tag == "a1a2":
             return set(w) == {h.a, *h.b}
         return self.tag == "other"
@@ -224,14 +224,11 @@ def classify_component_attachment(
         raise ValueError("need a valid embedding with n >= 3")
     if comp not in components(g, g.vertex_mask & ~hmask):
         raise ValueError("comp is not a component of g - V(H)")
-    am = 0
-    for u in bits(comp):
-        am |= g.adj[u]
-    att = tuple(bits(am & hmask))
+    am = attachment(g, hmask, comp)
+    att = tuple(bits(am))
     if not att:
         return ComponentAttachmentClass("empty", att)
-    if all(g.has_edge(att[i], att[j])
-           for i in range(len(att)) for j in range(i + 1, len(att))):
+    if is_clique(g, am):
         return ComponentAttachmentClass("clique", att)
     if set(att) == {h.a, *h.b}:
         return ComponentAttachmentClass("a1a2", att)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .graphs import Graph, bits, components, induced_subgraph, is_connected, mask_of
+from .graphs import (Graph, bits, chain, components, induced_subgraph, is_clique,
+                     is_connected, mask_of)
 
 
 @dataclass(frozen=True)
@@ -68,87 +69,53 @@ def contains_induced(g: Graph, pattern: Graph) -> Optional[PatternWitness]:
 #
 # The subset tree (extend by vertices larger than the current max) is walked
 # in preorder, which visits vertex sets in lexicographic order of their sorted
-# tuples; the first structural hit is therefore the least witness.
+# tuples; the first structural hit is therefore the least witness.  K4
+# subdivisions and prisms are decided by smoothing: suppressing the degree-2
+# vertices must leave the right simple cubic graph.
 
 
-def _chain_pairs(g: Graph, mask: int, branch: list[int]) -> Optional[list]:
-    """Trace maximal degree-2 chains of g[mask] from each branch vertex.
+def _smoothing(g: Graph, mask: int, nbranch: int) -> Optional[list[int]]:
+    """The degree-3 vertices of g[mask] when g[mask] smooths to a simple cubic
+    graph on nbranch vertices, else None.
 
-    Returns one (small end, large end) pair per traversal, i.e. every chain
-    twice, or None if some chain returns to its start.
+    g[mask] must be connected with nbranch vertices of degree 3 and the rest
+    of degree 2, and suppressing the degree-2 vertices must leave a simple
+    graph: no chain closes on its start and no two chains join the same pair.
     """
-    branch_set = set(branch)
-    pairs = []
-    for b in branch:
-        for x in bits(g.adj[b] & mask):
-            prev, cur = b, x
-            while cur not in branch_set:
-                nxt = g.adj[cur] & mask & ~(1 << prev)
-                prev, cur = cur, nxt.bit_length() - 1
-            if cur == b:
-                return None
-            pairs.append((min(b, cur), max(b, cur)))
-    return pairs
-
-
-def is_k4_subdivision(g: Graph, mask: int) -> bool:
-    """Does g[mask] smooth to a K4? Four degree-3 vertices, the rest degree 2,
-    connected, and the six branch pairs each joined by exactly one chain."""
     branch = []
     for v in bits(mask):
         d = (g.adj[v] & mask).bit_count()
         if d == 3:
             branch.append(v)
         elif d != 2:
-            return False
-    if len(branch) != 4 or not is_connected(g, mask):
-        return False
-    pairs = _chain_pairs(g, mask, branch)
-    if pairs is None:
-        return False
-    want = [(u, v) for u, v in combinations(branch, 2)]
-    return sorted(pairs) == sorted(want + want)
+            return None
+    if len(branch) != nbranch or not is_connected(g, mask):
+        return None
+    for b in branch:
+        far = {chain(g, mask, b, x)[-1] for x in bits(g.adj[b] & mask)}
+        if b in far or len(far) != 3:
+            return None
+    return branch
+
+
+def is_k4_subdivision(g: Graph, mask: int) -> bool:
+    """Does g[mask] smooth to a K4?  K4 is the only simple cubic graph on
+    four vertices."""
+    return _smoothing(g, mask, 4) is not None
 
 
 def is_prism(g: Graph, mask: int) -> bool:
     """Does g[mask] induce a (possibly subdivided) prism: two triangles joined
-    by three chains, no other edges?"""
-    branch = []
-    for v in bits(mask):
-        d = (g.adj[v] & mask).bit_count()
-        if d == 3:
-            branch.append(v)
-        elif d != 2:
-            return False
-    if len(branch) != 6 or not is_connected(g, mask):
+    by three chains, no other edges?  A simple cubic graph on six vertices is
+    the prism or K33, and only the prism has triangles; here both triangles
+    must be triangles of g, which leaves the three joining chains."""
+    branch = _smoothing(g, mask, 6)
+    if branch is None:
         return False
-    for t1 in combinations(branch, 3):
-        if branch[0] not in t1:
-            continue  # fix the least branch vertex in t1: halves the partitions
-        t2 = [v for v in branch if v not in t1]
-        if not all(g.has_edge(u, v) for u, v in combinations(t1, 2)):
-            continue
-        if not all(g.has_edge(u, v) for u, v in combinations(t2, 2)):
-            continue
-        # each triangle vertex has one non-triangle edge; its chain must land
-        # on the other triangle, and distinct starts get distinct landings
-        t2_set = set(t2)
-        hit = set()
-        ok = True
-        for x in t1:
-            others = g.adj[x] & mask & ~mask_of(t1)
-            if others.bit_count() != 1:
-                ok = False
-                break
-            prev, cur = x, others.bit_length() - 1
-            while (g.adj[cur] & mask).bit_count() == 2:
-                nxt = g.adj[cur] & mask & ~(1 << prev)
-                prev, cur = cur, nxt.bit_length() - 1
-            if cur not in t2_set or cur in hit:
-                ok = False
-                break
-            hit.add(cur)
-        if ok:
+    bmask = mask_of(branch)
+    for u, v in combinations(branch[1:], 2):
+        t1 = 1 << branch[0] | 1 << u | 1 << v
+        if is_clique(g, t1) and is_clique(g, bmask & ~t1):
             return True
     return False
 
@@ -265,28 +232,20 @@ class K12nEmbedding:
         )
 
 
-def _swap_extension_exists(g: Graph, a: int, b: tuple[int, int], c_mask: int) -> bool:
-    # for n = 2 the roles of the 2-side and the c-side are interchangeable:
-    # a vertex complete to {a} and the c-side but anticomplete to the b-side
-    # grows the b-side into a new 3-vertex side
-    cand = g.adj[a] & ~g.adj[b[0]] & ~g.adj[b[1]]
-    for v in bits(c_mask):
-        cand &= g.adj[v]
-    cand &= ~(1 << a | mask_of(b) | c_mask)
-    return cand != 0
+def _side_grows(g: Graph, a: int, b: tuple[int, int], c_mask: int) -> bool:
+    """Can a vertex join the c-side: one off it, complete to {a} and the
+    b-side and anticomplete to the c-side?"""
+    cand = g.adj[a] & g.adj[b[0]] & g.adj[b[1]] & ~c_mask
+    return any(g.adj[v] & c_mask == 0 for v in bits(cand))
 
 
 def is_maximal_k12n(g: Graph, emb: K12nEmbedding) -> bool:
     """No single vertex extends the embedding to a larger K_{1,2,m}: nothing
-    joins the c-side, and for n = 2 nothing absorbs the b-side either."""
-    c_mask = mask_of(emb.c)
-    cand = g.adj[emb.a] & g.adj[emb.b[0]] & g.adj[emb.b[1]]
-    for v in bits(cand & ~c_mask):
-        if g.adj[v] & c_mask == 0:
-            return False
-    if emb.n == 2 and _swap_extension_exists(g, emb.a, emb.b, c_mask):
+    joins the c-side, and for n = 2, where the b-side and the c-side can swap
+    roles, nothing joins the b-side either."""
+    if _side_grows(g, emb.a, emb.b, mask_of(emb.c)):
         return False
-    return True
+    return emb.n > 2 or not _side_grows(g, emb.a, emb.c, mask_of(emb.b))
 
 
 def iter_maximal_k12n(g: Graph, n_min: int) -> Iterator[K12nEmbedding]:
@@ -298,21 +257,21 @@ def iter_maximal_k12n(g: Graph, n_min: int) -> Iterator[K12nEmbedding]:
         for b1, b2 in combinations(nbrs, 2):
             if g.has_edge(b1, b2):
                 continue
-            cn = g.adj[a] & g.adj[b1] & g.adj[b2]
-            cset = list(bits(cn))
+            cset = list(bits(g.adj[a] & g.adj[b1] & g.adj[b2]))
             if len(cset) < n_min:
                 continue
-            yield from _maximal_csides(g, a, (b1, b2), cn, cset, n_min)
+            yield from _maximal_csides(g, a, (b1, b2), cset, n_min)
 
 
-def _maximal_csides(g, a, b, cn, cset, n_min) -> Iterator[K12nEmbedding]:
-    # maximal independent sets of g[cn], preorder (= lex on sorted tuples)
+def _maximal_csides(g, a, b, cset, n_min) -> Iterator[K12nEmbedding]:
+    # independent sets of g[cset] in preorder (= lex on sorted tuples), kept
+    # when the embedding they give is maximal
     out = []
 
     def visit(chosen: tuple, chosen_mask: int, rest: list[int]):
-        if len(chosen) >= n_min and all(g.adj[v] & chosen_mask for v in bits(cn & ~chosen_mask)):
+        if len(chosen) >= n_min:
             emb = K12nEmbedding(a, b, chosen)
-            if emb.n > 2 or not _swap_extension_exists(g, a, b, chosen_mask):
+            if is_maximal_k12n(g, emb):
                 out.append(emb)
         for i, v in enumerate(rest):
             if g.adj[v] & chosen_mask:
@@ -378,9 +337,7 @@ def _classify_link(g: Graph, comp: int, smask: int, e1: int, e2: int) -> Optiona
             return SquareLink((p,), True)
         return None
     ends = [v for v in vs if (g.adj[v] & comp).bit_count() == 1]
-    if len(ends) != 2 or not is_connected(g, comp):
-        return None
-    if any((g.adj[v] & comp).bit_count() != 2 for v in vs if v not in ends):
+    if len(ends) != 2:
         return None
     p, q = ends
     ap, aq = g.adj[p] & smask, g.adj[q] & smask
@@ -390,14 +347,9 @@ def _classify_link(g: Graph, comp: int, smask: int, e1: int, e2: int) -> Optiona
         first = q
     else:
         return None
-    order = [first]
-    seen = 1 << first
-    while len(order) < len(vs):
-        nxt = g.adj[order[-1]] & comp & ~seen
-        v = nxt.bit_length() - 1
-        order.append(v)
-        seen |= 1 << v
-    if any(g.adj[v] & smask for v in order[1:-1]):
+    # comp is a path exactly when the walk from one end covers it
+    order = [first] + chain(g, comp, first, (g.adj[first] & comp).bit_length() - 1)
+    if len(order) != len(vs) or any(g.adj[v] & smask for v in order[1:-1]):
         return None
     return SquareLink(tuple(order), False)
 

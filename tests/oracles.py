@@ -18,12 +18,12 @@ def to_nx(g):
     return h
 
 
-# -- ISK4 by literal smoothing --------------------------------------------
+# -- ISK4 and prisms by literal smoothing ---------------------------------
 
 
-def _smooth_to_k4(vertices, edges):
+def _smooth(vertices, edges):
     """Suppress degree-2 vertices with nonadjacent neighbours until stuck;
-    report whether the result is exactly a K4."""
+    return the vertex and edge sets left."""
     vs = set(vertices)
     es = {frozenset(e) for e in edges}
     changed = True
@@ -38,7 +38,27 @@ def _smooth_to_k4(vertices, edges):
                 es.add(frozenset(nbrs))
                 changed = True
                 break
+    return vs, es
+
+
+def _smooth_to_k4(vertices, edges):
+    """Does smoothing leave exactly a K4?"""
+    vs, es = _smooth(vertices, edges)
     return len(vs) == 4 and len(es) == 6
+
+
+def smooths_to_prism(vertices, edges):
+    """Does smoothing leave a cubic graph on 6 vertices and 9 edges that
+    splits into two disjoint triangles made of original edges?"""
+    original = {frozenset(e) for e in edges}
+    vs, es = _smooth(vertices, edges)
+    if len(vs) != 6 or len(es) != 9 or any(sum(v in e for e in es) != 3 for v in vs):
+        return False
+    for tri in combinations(sorted(vs), 3):
+        halves = (tri, vs - set(tri))
+        if all(frozenset(p) in original for h in halves for p in combinations(h, 2)):
+            return True
+    return False
 
 
 def isk4_subsets(g):

@@ -204,6 +204,12 @@ class TestCheckLemma:
         monkeypatch.setenv("ISK4LAB_BUDGET", "soon")
         assert main(["check-lemma", "--id", "l-link", BOWTIE]) == 2
 
+    @pytest.mark.parametrize("lemma", ["link", "voh", "comp"])
+    def test_id_either_case(self, capsys, lemma):
+        lower = run(capsys, "check-lemma", "--id", "l-" + lemma, K124_PENDANT)
+        upper = run(capsys, "check-lemma", "--id", "L-" + lemma.upper(), K124_PENDANT)
+        assert upper == lower and lower[1]["lemma"] == "L-" + lemma.upper()
+
     def test_counterwitness_exit_code(self, capsys, monkeypatch):
         forged = LemmaReport("L-VOH", True, False,
                              counterwitness={"vertex": 0}, checked=7)

@@ -237,11 +237,6 @@ class TestPipelineExamples:
         assert "k33_vertices" in r.evidence
         assert has_isk4(g)
 
-    def test_freeness_flag(self):
-        r = structural_four_coloring(K4, check_isk4_free=True)
-        assert isinstance(r, ColoringFailure)
-        assert r.rule is None and r.evidence["isk4_vertices"] == [0, 1, 2, 3]
-
     def test_rule_names_stay_in_vocabulary(self):
         for g in (K123, TWO_K4, HOST124, C5, PRISM6, SQ_TWO_LINKS):
             _, t = pipeline_ok(g)

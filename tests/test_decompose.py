@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 from hypothesis import given, settings
 
@@ -6,12 +8,13 @@ from isk4lab.decompose import (
     CliqueCutset,
     MultipartiteCert,
     Proper2Cutset,
+    _is_ab_path,
     find_clique_cutset,
     find_proper_2cutset,
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, is_connected, mask_of
+from isk4lab.graphs import Graph, bits, is_connected, mask_of
 from test_graphs import random_graph_strategy
 from test_patterns import K33, K123, K222, PRISM6, all_graphs
 
@@ -91,6 +94,23 @@ class TestProper2Cutset:
         # sides that are single (a,b)-paths must be rejected
         assert not Proper2Cutset(0, 1, mask_of((2,)), mask_of((3, 4, 5))).validate(g)
         assert not Proper2Cutset(0, 1, 0, mask_of((2, 3, 4, 5))).validate(g)
+
+    def test_ab_path_every_side_n_le_5(self):
+        # adjacent a, b included: validate rejects them before asking; the
+        # walk starts at a, so both orders are asked
+        found = 0
+        for n in range(2, 6):
+            for g in all_graphs(n):
+                h = oracles.to_nx(g)
+                for a, b in combinations(range(n), 2):
+                    for side in range(1 << n):
+                        if side >> a & 1 or side >> b & 1:
+                            continue
+                        want = oracles._is_ab_path(h, list(bits(side)), a, b)
+                        assert _is_ab_path(g, side, a, b) == want, (g.code(), side, a, b)
+                        assert _is_ab_path(g, side, b, a) == want, (g.code(), side, b, a)
+                        found += want
+        assert found > 0
 
 
 class TestMultipartite:

@@ -9,9 +9,11 @@ from isk4lab.graphs import (
     GraphFormatError,
     attachment,
     bits,
+    chain,
     components,
     format_edge_list,
     induced_subgraph,
+    is_clique,
     is_connected,
     is_induced_cycle,
     is_induced_path,
@@ -230,6 +232,31 @@ class TestSetOps:
         assert not is_induced_cycle(g, [0, 1, 2])
         k4 = Graph.complete(4)
         assert not is_induced_cycle(k4, [0, 1, 2, 3])  # chords
+
+    def test_chain_closes_on_cycle(self):
+        # every vertex of C5 has degree 2: the walk comes back to its start
+        assert chain(Graph.cycle(5), 0b11111, 0, 1) == [1, 2, 3, 4, 0]
+        assert chain(Graph.cycle(5), 0b11111, 0, 4) == [4, 3, 2, 1, 0]
+
+    def test_chain_stops_at_path_end(self):
+        g = Graph.path(5)
+        assert chain(g, g.vertex_mask, 0, 1) == [1, 2, 3, 4]
+        assert chain(g, mask_of([1, 2, 3]), 1, 2) == [2, 3]  # within the mask
+
+    def test_chain_stops_at_branch_vertex(self):
+        # K4 with the edge 2-3 subdivided by 4: walk 2 -> 4 -> 3, degree 3
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+        assert chain(g, g.vertex_mask, 2, 4) == [4, 3]
+        assert chain(g, g.vertex_mask, 2, 0) == [0]
+
+    def test_is_clique(self):
+        g = Graph.cycle(4)
+        assert is_clique(g, 0)
+        assert is_clique(g, mask_of([2]))
+        assert is_clique(g, mask_of([0, 1]))
+        assert not is_clique(g, mask_of([0, 2]))
+        assert is_clique(Graph.complete(5), 0b11111)
+        assert not is_clique(Graph.from_edges(3, [(0, 1), (1, 2)]), 0b111)
 
     @given(graphs)
     def test_components_partition(self, g):

@@ -108,6 +108,78 @@ class TestIsk4:
         assert (contains_isk4(g) is not None) == oracles.has_isk4(g)
 
 
+def _induced_edges(g, mask):
+    return [(u, v) for u, v in g.edges() if mask >> u & 1 and mask >> v & 1]
+
+
+def planted_prisms(seed, count):
+    """Seeded hosts on 7..12 vertices, each with a subdivided prism planted
+    on a random core of 6 or more vertices, plus up to two random edges.
+    Every fourth core has a triangle edge subdivided too, which smooths to
+    the prism's shape but is no prism."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(7, 12)
+        size = rng.randint(6 + (i % 4 == 3), n)
+        edges = {(0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
+        chains = {(0, 3): [], (1, 4): [], (2, 5): [], (0, 1): []}
+        if i % 4 == 3:
+            chains[(0, 1)].append(6)
+        for w in range(6 + (i % 4 == 3), size):
+            chains[rng.choice(list(chains))].append(w)
+        for (u, v), mids in chains.items():
+            seq = [u, *mids, v]
+            edges |= set(zip(seq, seq[1:]))
+        for _ in range(rng.randint(0, 2)):
+            edges.add(tuple(rng.sample(range(n), 2)))
+        label = rng.sample(range(n), n)
+        yield (Graph.from_edges(n, {tuple(sorted((label[u], label[v]))) for u, v in edges}),
+               mask_of(label[v] for v in range(size)))
+
+
+class TestSmoothingPredicates:
+    """is_k4_subdivision and is_prism against the literal smoothing oracles."""
+
+    def test_k4_subdivision_every_mask_n_le_5(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                for mask in range(1 << n):
+                    want = oracles._smooth_to_k4(bits(mask), _induced_edges(g, mask))
+                    assert is_k4_subdivision(g, mask) == want, (g.code(), mask)
+
+    def test_prism_every_graph_n6(self):
+        hits = 0
+        for g in all_graphs(6):
+            want = oracles.smooths_to_prism(range(6), g.edges())
+            assert is_prism(g, g.vertex_mask) == want, g.code()
+            hits += want
+        assert hits == 60  # 6! / |Aut(prism)| labeled prisms
+
+    def test_doubled_chains_are_rejected(self):
+        # both smooth to cubic multigraphs: a 4-cycle with two opposite edges
+        # doubled, and two triangles joined by one chain with a second chain
+        # doubling one edge of each triangle
+        k4_like = Graph.from_edges(6, [(0, 1), (0, 4), (1, 4), (0, 2), (1, 3),
+                                       (2, 3), (2, 5), (3, 5)])
+        prism_like = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
+                                          (4, 5), (0, 3), (1, 6), (2, 6), (4, 7),
+                                          (5, 7)])
+        for g in (k4_like, prism_like):
+            assert not oracles._smooth_to_k4(range(g.n), g.edges())
+            assert not oracles.smooths_to_prism(range(g.n), g.edges())
+            assert not is_k4_subdivision(g, g.vertex_mask)
+            assert not is_prism(g, g.vertex_mask)
+
+    def test_prism_planted_subdivided(self):
+        hits = 0
+        for g, core in planted_prisms(6, 300):
+            for mask in [core] + [core ^ 1 << v for v in range(g.n)]:
+                want = oracles.smooths_to_prism(bits(mask), _induced_edges(g, mask))
+                assert is_prism(g, mask) == want, (g.edges(), mask)
+                hits += want
+        assert hits >= 100
+
+
 def first_subset(g, min_size, check):
     """First vertex set in lexicographic order of sorted tuples, among all
     subsets of at least min_size vertices, that check accepts: no pruning."""
