@@ -224,7 +224,7 @@ def _cmd_scan(args) -> int:
         print(f"scanned {report.totals()['read']} graphs "
               f"in {report.wall_time:.1f}s", file=sys.stderr)
     tot = report.totals()
-    dirty = report.parse_failures > 0 or \
+    dirty = report.parse_failures > 0 or report.internal_errors > 0 or \
         any(by["fail"] for by in tot["checks"].values())
     return EXIT_WITNESS if dirty else EXIT_OK
 

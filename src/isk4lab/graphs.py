@@ -62,9 +62,20 @@ class Graph:
             for u in bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+        self._set(n, adj)
+
+    def _set(self, n: int, adj: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, n: int, adj: Iterable[int]) -> "Graph":
+        """Build without __init__'s checks, for callers whose adjacency is
+        symmetric, loop-free and in range by construction."""
+        g = object.__new__(cls)
+        g._set(n, tuple(adj))
+        return g
 
     def __setattr__(self, *args):
         raise AttributeError("Graph is immutable")
@@ -120,7 +131,7 @@ class Graph:
             adj[j] = code >> (j * (j - 1) // 2) & ((1 << j) - 1)
             for i in bits(adj[j]):
                 adj[i] |= 1 << j
-        return cls(n, adj)
+        return cls._trusted(n, adj)
 
     # -- basic queries -----------------------------------------------------
 
@@ -181,7 +192,7 @@ def induced_subgraph(g: Graph, vset: int) -> tuple[Graph, list[int]]:
     vmap = list(bits(vset))
     index = {v: i for i, v in enumerate(vmap)}
     adj = [mask_of(index[u] for u in bits(g.adj[v] & vset)) for v in vmap]
-    return Graph(len(vmap), adj), vmap
+    return Graph._trusted(len(vmap), adj), vmap
 
 
 def components(g: Graph, within: int | None = None) -> list[int]:
@@ -273,6 +284,36 @@ def chain(g: Graph, mask: int, prev: int, cur: int) -> list[int]:
         prev, cur = cur, (g.adj[cur] & mask & ~(1 << prev)).bit_length() - 1
         walk.append(cur)
     return walk
+
+
+def has_k4_minor(g: Graph, mask: int | None = None) -> bool:
+    """Does g[mask] have a K4 minor?
+
+    Runs the series-parallel reduction: delete a vertex of degree at most 1,
+    or suppress a vertex of degree 2 by joining its two neighbours (a join
+    that is already an edge adds nothing), until no vertex qualifies.  Each
+    step keeps a K4 minor and keeps its absence, and a simple graph of
+    minimum degree 3 has a K4 minor, so g[mask] has one iff a vertex is left.
+    No step raises a degree, so a vertex queued once stays removable.
+    """
+    if mask is None:
+        mask = g.vertex_mask
+    adj = [row & mask for row in g.adj]
+    todo = [v for v in bits(mask) if adj[v].bit_count() <= 2]
+    while todo:
+        v = todo.pop()
+        if not mask >> v & 1:
+            continue
+        mask ^= 1 << v
+        ends = list(bits(adj[v]))
+        for u in ends:
+            adj[u] ^= 1 << v
+        if len(ends) == 2:
+            a, b = ends
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        todo.extend(u for u in ends if adj[u].bit_count() <= 2)
+    return mask != 0
 
 
 # -- graph6 ----------------------------------------------------------------

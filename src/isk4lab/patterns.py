@@ -2,7 +2,10 @@
 
 All detectors are exponential-time subset/backtracking searches meant for small
 graphs, and all of them return the lexicographically least witness under
-ascending vertex order so repeated runs and reports are reproducible.
+ascending vertex order so repeated runs and reports are reproducible.  The
+ISK4, prism and wheel searches first run an exact K4-minor test on the whole
+graph and return at once when it has none, since each of those structures
+has a K4 minor.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .graphs import (Graph, bits, chain, components, induced_subgraph, is_clique,
-                     is_connected, mask_of)
+from .graphs import (Graph, bits, chain, components, has_k4_minor, induced_subgraph,
+                     is_clique, is_connected, mask_of)
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,12 @@ def contains_induced(g: Graph, pattern: Graph) -> Optional[PatternWitness]:
 # tuples; the first structural hit is therefore the least witness.  K4
 # subdivisions and prisms are decided by smoothing: suppressing the degree-2
 # vertices must leave the right simple cubic graph.
+#
+# An induced subdivision of K4, a prism and a wheel each contain a K4 minor,
+# so on a graph without one (a series-parallel graph) no subset can succeed.
+# The search tests that once, at the root, with the series-parallel
+# reduction of graphs.has_k4_minor; the test is exact, so the witness found
+# on every other graph is the one the full search finds.
 
 
 def _smoothing(g: Graph, mask: int, nbranch: int) -> Optional[list[int]]:
@@ -133,7 +142,9 @@ def _is_wheel(g: Graph, mask: int) -> bool:
 
 def _subset_search(g: Graph, min_size: int, check, high_degree_cap: int) -> Optional[int]:
     """Preorder subset DFS; subsets where more than high_degree_cap members
-    have induced degree >= 4 are dead (degrees only grow downward).
+    have induced degree >= 4 are dead (degrees only grow downward).  A
+    K4-minor-free g returns None without a search: check must accept only
+    sets whose induced subgraph has a K4 minor.
 
     Induced degrees are kept bit-sliced: for each member u of the subset,
     bits u of d0 and d1 hold its degree while it is below 4, and bit u of
@@ -141,6 +152,8 @@ def _subset_search(g: Graph, min_size: int, check, high_degree_cap: int) -> Opti
     every member adjacent to v, all at once, and sets v's own entry; each
     level gets its own copies, so leaving v undoes nothing by hand.
     """
+    if not has_k4_minor(g):
+        return None
     adj = g.adj
     result = None
 

@@ -9,7 +9,9 @@ workers ran.  Wall time is kept off the JSON document for the same reason.
 from __future__ import annotations
 
 import json
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
@@ -67,6 +69,7 @@ class ScanReport:
     per_n: dict[int, dict] = field(default_factory=dict)
     failures: list[dict] = field(default_factory=list)
     parse_failures: int = 0
+    internal_errors: int = 0
     suppressed: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
 
@@ -101,7 +104,8 @@ class ScanReport:
         for c in self.config.checks:
             if tot["checks"][c]["fail"] != recorded.get(c, 0):
                 return False
-        return recorded.get("parse", 0) == self.parse_failures
+        return recorded.get("parse", 0) == self.parse_failures and \
+            recorded.get("internal_error", 0) == self.internal_errors
 
     def to_json(self) -> str:
         doc = {
@@ -160,15 +164,21 @@ def _scan_one(cfg: ScanConfig, item: tuple[int, str]) -> dict:
         g = parse_graph6(text)
     except GraphFormatError as exc:
         return {"line_no": line_no, "g6": text, "error": str(exc)}
-    # one set of facts per graph, shared by every check, stays in the worker
-    facts = GraphFacts(g, contains_isk4(g))
-    return {
-        "line_no": line_no, "g6": text, "n": g.n,
-        "isk4_free": facts.isk4 is None,
-        "k123": contains_induced(g, _K123) is not None,
-        "checks": {name: _run_check(name, facts, cfg)
-                   for name in cfg.checks},
-    }
+    try:
+        # one set of facts per graph, shared by every check, stays in the worker
+        facts = GraphFacts(g, contains_isk4(g))
+        return {
+            "line_no": line_no, "g6": text, "n": g.n,
+            "isk4_free": facts.isk4 is None,
+            "k123": contains_induced(g, _K123) is not None,
+            "checks": {name: _run_check(name, facts, cfg)
+                       for name in cfg.checks},
+        }
+    except Exception as exc:  # a fault in a check must not end the scan
+        traceback.print_exc(file=sys.stderr)
+        return {"line_no": line_no, "g6": text,
+                "internal_error": {"type": type(exc).__name__,
+                                   "message": str(exc)}}
 
 
 def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:
@@ -189,6 +199,12 @@ def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:
                               "check": "parse",
                               "evidence": {"reason": res["error"]}})
             continue
+        if "internal_error" in res:
+            report.internal_errors += 1
+            witness("internal_error", {
+                "line_no": res["line_no"], "graph6": res["g6"],
+                "check": "internal_error", "evidence": res["internal_error"]})
+            continue
         counters = report.per_n.setdefault(res["n"],
                                            _blank_counters(cfg.checks))
         counters["read"] += 1
@@ -205,7 +221,9 @@ def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:
 
 def scan_stream(lines: Iterable[str], cfg: ScanConfig) -> ScanReport:
     """Parse, check and count every line; malformed lines are recorded as
-    parse failures and the scan continues."""
+    parse failures and the scan continues.  A line whose checks raise is
+    not counted in per_n; it becomes an internal_error witness with the
+    exception's type and message, and the scan continues."""
     start = time.perf_counter()
     items = enumerate(lines, start=1)
     if cfg.parallelism == 1:

@@ -78,6 +78,19 @@ def has_isk4(g):
     return bool(isk4_subsets(g))
 
 
+def has_k4_minor(g):
+    """Does some edge subset of g smooth to K4?  K4 is cubic, so a K4 minor
+    is a topological one: a subgraph that subdivides K4.  Such a subgraph on
+    s vertices has s + 2 edges, so subsets of 6..n+2 edges are enough."""
+    edges = g.edges()
+    for r in range(6, min(len(edges), g.n + 2) + 1):
+        for sub in combinations(edges, r):
+            vs = {v for e in sub for v in e}
+            if len(vs) + 2 == r and _smooth_to_k4(vs, sub):
+                return True
+    return False
+
+
 # -- complete multipartite / K_{1,2,n} ------------------------------------
 
 

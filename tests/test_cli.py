@@ -75,6 +75,13 @@ class TestDetect:
         assert code == 0
         assert doc["found"] and doc["vertices"] == list(range(6))
 
+    def test_prism_absent_from_long_cycle(self, capsys):
+        # C_30 has no K4 minor, so the search returns without walking subsets
+        code, doc = run(capsys, "detect", "--pattern", "prism",
+                        write_graph6(Graph.cycle(30)))
+        assert code == 1
+        assert doc == {"found": False, "pattern": "prism"}
+
     def test_wheel(self, capsys):
         code, doc = run(capsys, "detect", "--pattern", "wheel", WHEEL5)
         assert code == 0 and doc["found"]
@@ -237,6 +244,16 @@ class TestScanCommand:
         code, doc = run(capsys, "scan", "--checks", "ISK4-FILTER")
         assert code == 4
         assert doc["totals"]["parse_failures"] == 1
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(g):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr("isk4lab.scan.contains_isk4", broken)
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+        code, doc = run(capsys, "scan", "--checks", "ISK4-FILTER")
+        assert code == 4
+        assert [w["check"] for w in doc["failures"]] == ["internal_error"]
 
     @pytest.mark.parametrize("flag,env,want", [
         (None, None, ScanConfig.budget), (None, "7", 7), ("5", "7", 5)])

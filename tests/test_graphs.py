@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
+
+import oracles
 
 from isk4lab.graphs import (
     Graph,
@@ -12,6 +15,7 @@ from isk4lab.graphs import (
     chain,
     components,
     format_edge_list,
+    has_k4_minor,
     induced_subgraph,
     is_clique,
     is_connected,
@@ -72,6 +76,16 @@ class TestConstruction:
         assert not g.has_edge(1, 2)  # within part {1,2}
         assert g.has_edge(0, 1) and g.has_edge(1, 3)
         assert g.edge_count() == 1 * 2 + 1 * 3 + 2 * 3
+
+    def test_trusted_builds_match_checked_constructor(self):
+        # from_code and induced_subgraph skip __init__'s checks; the checked
+        # constructor accepts what they build and gives an equal graph
+        for n in range(6):
+            for code in range(1 << n * (n - 1) // 2):
+                g = Graph.from_code(n, code)
+                assert Graph(g.n, g.adj) == g
+                sub, _ = induced_subgraph(g, code % (1 << n))
+                assert Graph(sub.n, sub.adj) == sub
 
     def test_code_roundtrip(self):
         for g in [Graph.complete(5), Graph.cycle(6), Graph.path(4), Graph.empty(3)]:
@@ -283,3 +297,95 @@ class TestSetOps:
         g = Graph.cycle(5)
         assert g.complement().complement() == g
         assert Graph.complete(4).complement() == Graph.empty(4)
+
+
+def _relabelled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def series_parallel_graph(rng, n):
+    """2-connected graph on n >= 3 vertices with no K4 minor, by construction.
+
+    It grows from a triangle by subdividing an edge or by adding a path of
+    new vertices between the ends of an edge.  Neither step creates a K4
+    subdivision: one using the new degree-2 vertices has them inside one of
+    its branch paths, and that path can run along the old edge instead (it
+    cannot also use that edge, as two branch paths of a K4 subdivision never
+    join the same pair).  K4 is cubic, so no K4 minor either.
+    """
+    edges = {(0, 1), (0, 2), (1, 2)}
+    k = 3
+    while k < n:
+        u, v = rng.choice(sorted(edges))
+        if rng.random() < 0.3:
+            edges.remove((u, v))
+            edges |= {(u, k), (v, k)}
+            k += 1
+        else:
+            path = [u, *range(k, min(k + rng.randint(1, 3), n)), v]
+            edges |= {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+            k = max(path[1:-1]) + 1
+    return _relabelled(rng, n, edges)
+
+
+def planted_k4_subdivision(rng, n):
+    """Graph on n >= 4 vertices holding a subdivision of K4, so a K4 minor:
+    it grows from K4 by subdividing an edge or by adding a vertex joined to
+    one to three old ones, and both steps keep the subdivision."""
+    edges = set(itertools.combinations(range(4), 2))
+    for k in range(4, n):
+        if rng.random() < 0.5:
+            u, v = rng.choice(sorted(edges))
+            edges.remove((u, v))
+            edges |= {(u, k), (v, k)}
+        else:
+            edges |= {(u, k) for u in rng.sample(range(k), rng.randint(1, 3))}
+    return _relabelled(rng, n, edges)
+
+
+class TestK4Minor:
+    """has_k4_minor against the brute-force oracle, which looks for an edge
+    subset that smooths to K4."""
+
+    def test_every_graph_n_le_5(self):
+        for n in range(6):
+            for code in range(1 << n * (n - 1) // 2):
+                g = Graph.from_code(n, code)
+                assert has_k4_minor(g) == oracles.has_k4_minor(g), (n, code)
+
+    def test_sampled_n6_to_9(self):
+        rng = random.Random(41)
+        seen = set()
+        for n in range(6, 10):
+            for i in range(24):
+                p = (0.2, 0.3, 0.4, 0.5)[i % 4]
+                g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                         if rng.random() < p])
+                want = oracles.has_k4_minor(g)
+                assert has_k4_minor(g) == want, (n, g.edges())
+                seen.add(want)
+        assert seen == {False, True}
+
+    def test_series_parallel_graphs_are_free(self):
+        rng = random.Random(42)
+        for n in range(3, 31):
+            g = series_parallel_graph(rng, n)
+            assert not has_k4_minor(g), (n, g.edges())
+            if n <= 9:
+                assert not oracles.has_k4_minor(g)
+
+    def test_planted_k4_subdivisions_are_not_free(self):
+        rng = random.Random(43)
+        for n in range(4, 31):
+            g = planted_k4_subdivision(rng, n)
+            assert has_k4_minor(g), (n, g.edges())
+            if n <= 9:
+                assert oracles.has_k4_minor(g)
+
+    def test_within_mask(self):
+        # K4 plus a pendant vertex 4: only masks holding all of K4 have one
+        g = Graph.from_edges(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
+        assert has_k4_minor(g, 0b01111) and has_k4_minor(g, 0b11111)
+        assert not has_k4_minor(g, 0b10111) and not has_k4_minor(g, 0)

@@ -22,7 +22,7 @@ from isk4lab.patterns import (
     is_prism,
     iter_maximal_k12n,
 )
-from test_graphs import random_graph_strategy
+from test_graphs import random_graph_strategy, series_parallel_graph
 
 K4 = Graph.complete(4)
 C6 = Graph.cycle(6)
@@ -291,6 +291,23 @@ class TestContainsFixed:
     def test_unknown_pattern(self):
         with pytest.raises(ValueError):
             contains_fixed(K4, "banana")
+
+
+class TestK4MinorFreeAtScale:
+    """The ISK4, prism and wheel searches return at once on graphs with no
+    K4 minor; walking every subset of these would never finish."""
+
+    @pytest.mark.parametrize("g", [
+        Graph.cycle(30), series_parallel_graph(random.Random(44), 40)],
+        ids=["C30", "series-parallel-40"])
+    def test_searches_return_none(self, g):
+        assert contains_isk4(g) is None
+        assert contains_fixed(g, "prism") is None
+        assert contains_fixed(g, "wheel") is None
+
+    def test_series_parallel_graph_is_2_connected(self):
+        g = series_parallel_graph(random.Random(44), 40)
+        assert nx.is_biconnected(oracles.to_nx(g))
 
 
 class TestK12n:

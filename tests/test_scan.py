@@ -126,6 +126,41 @@ class TestParseFailures:
         assert report.consistent()
 
 
+class TestInternalErrors:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_check_is_recorded_and_scan_continues(self, monkeypatch, jobs):
+        target = SMALL[7]
+        original = scan.chromatic_number_exact
+
+        def flaky(g, bound):
+            if write_graph6(g) == target:
+                raise RuntimeError("planted fault")
+            return original(g, bound)
+
+        monkeypatch.setattr(scan, "chromatic_number_exact", flaky)
+        report = run(SMALL, parallelism=jobs)
+        assert report.failures == [{
+            "line_no": 8, "graph6": target, "check": "internal_error",
+            "evidence": {"type": "RuntimeError", "message": "planted fault"}}]
+        assert report.internal_errors == 1
+        assert report.totals()["read"] == len(SMALL) - 1
+        assert report.consistent()
+        monkeypatch.setattr(scan, "chromatic_number_exact", original)
+        clean = json.loads(run(SMALL).to_json())
+        assert clean["failures"] == []
+        assert clean["totals"]["read"] == len(SMALL)
+
+    def test_internal_errors_are_capped_like_other_witnesses(self, monkeypatch):
+        def broken(g):
+            raise KeyError(g.n)
+
+        monkeypatch.setattr(scan, "contains_isk4", broken)
+        report = run(SMALL[:5], witness_cap=2)
+        assert [w["evidence"]["type"] for w in report.failures] == ["KeyError"] * 2
+        assert report.suppressed == {"internal_error": 3}
+        assert report.internal_errors == 5 and report.consistent()
+
+
 class TestReportDocument:
     def test_json_shape(self):
         doc = json.loads(run(SMALL[:10]).to_json())
