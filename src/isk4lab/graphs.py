@@ -286,20 +286,19 @@ def chain(g: Graph, mask: int, prev: int, cur: int) -> list[int]:
     return walk
 
 
-def has_k4_minor(g: Graph, mask: int | None = None) -> bool:
-    """Does g[mask] have a K4 minor?
+def has_k4_minor(g: Graph) -> bool:
+    """Does g have a K4 minor?
 
     Runs the series-parallel reduction: delete a vertex of degree at most 1,
     or suppress a vertex of degree 2 by joining its two neighbours (a join
     that is already an edge adds nothing), until no vertex qualifies.  Each
     step keeps a K4 minor and keeps its absence, and a simple graph of
-    minimum degree 3 has a K4 minor, so g[mask] has one iff a vertex is left.
+    minimum degree 3 has a K4 minor, so g has one iff a vertex is left.
     No step raises a degree, so a vertex queued once stays removable.
     """
-    if mask is None:
-        mask = g.vertex_mask
-    adj = [row & mask for row in g.adj]
-    todo = [v for v in bits(mask) if adj[v].bit_count() <= 2]
+    mask = g.vertex_mask
+    adj = list(g.adj)
+    todo = [v for v in range(g.n) if adj[v].bit_count() <= 2]
     while todo:
         v = todo.pop()
         if not mask >> v & 1:

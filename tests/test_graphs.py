@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from bench import ladders
 
 from isk4lab.graphs import (
     Graph,
@@ -299,52 +300,6 @@ class TestSetOps:
         assert Graph.complete(4).complement() == Graph.empty(4)
 
 
-def _relabelled(rng, n, edges):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
-
-
-def series_parallel_graph(rng, n):
-    """2-connected graph on n >= 3 vertices with no K4 minor, by construction.
-
-    It grows from a triangle by subdividing an edge or by adding a path of
-    new vertices between the ends of an edge.  Neither step creates a K4
-    subdivision: one using the new degree-2 vertices has them inside one of
-    its branch paths, and that path can run along the old edge instead (it
-    cannot also use that edge, as two branch paths of a K4 subdivision never
-    join the same pair).  K4 is cubic, so no K4 minor either.
-    """
-    edges = {(0, 1), (0, 2), (1, 2)}
-    k = 3
-    while k < n:
-        u, v = rng.choice(sorted(edges))
-        if rng.random() < 0.3:
-            edges.remove((u, v))
-            edges |= {(u, k), (v, k)}
-            k += 1
-        else:
-            path = [u, *range(k, min(k + rng.randint(1, 3), n)), v]
-            edges |= {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-            k = max(path[1:-1]) + 1
-    return _relabelled(rng, n, edges)
-
-
-def planted_k4_subdivision(rng, n):
-    """Graph on n >= 4 vertices holding a subdivision of K4, so a K4 minor:
-    it grows from K4 by subdividing an edge or by adding a vertex joined to
-    one to three old ones, and both steps keep the subdivision."""
-    edges = set(itertools.combinations(range(4), 2))
-    for k in range(4, n):
-        if rng.random() < 0.5:
-            u, v = rng.choice(sorted(edges))
-            edges.remove((u, v))
-            edges |= {(u, k), (v, k)}
-        else:
-            edges |= {(u, k) for u in rng.sample(range(k), rng.randint(1, 3))}
-    return _relabelled(rng, n, edges)
-
-
 class TestK4Minor:
     """has_k4_minor against the brute-force oracle, which looks for an edge
     subset that smooths to K4."""
@@ -369,23 +324,19 @@ class TestK4Minor:
         assert seen == {False, True}
 
     def test_series_parallel_graphs_are_free(self):
+        # the benchmark's seeded families, free of K4 minors by construction
         rng = random.Random(42)
         for n in range(3, 31):
-            g = series_parallel_graph(rng, n)
-            assert not has_k4_minor(g), (n, g.edges())
-            if n <= 9:
-                assert not oracles.has_k4_minor(g)
+            for g in (Graph.from_edges(*ladders.series_parallel(rng, n, max(n, 4))),
+                      Graph.from_edges(*ladders.partial_2tree(rng, n))):
+                assert not has_k4_minor(g), (n, g.edges())
+                if n <= 9:
+                    assert not oracles.has_k4_minor(g)
 
     def test_planted_k4_subdivisions_are_not_free(self):
         rng = random.Random(43)
-        for n in range(4, 31):
-            g = planted_k4_subdivision(rng, n)
+        for n in range(6, 31):
+            g = Graph.from_edges(*ladders.planted_isk4(rng, n)[:2])
             assert has_k4_minor(g), (n, g.edges())
             if n <= 9:
                 assert oracles.has_k4_minor(g)
-
-    def test_within_mask(self):
-        # K4 plus a pendant vertex 4: only masks holding all of K4 have one
-        g = Graph.from_edges(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
-        assert has_k4_minor(g, 0b01111) and has_k4_minor(g, 0b11111)
-        assert not has_k4_minor(g, 0b10111) and not has_k4_minor(g, 0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from networkx.algorithms import isomorphism
 
 import oracles
+from bench import ladders
 from isk4lab.graphs import Graph, bits, mask_of
 from isk4lab.patterns import (
     K12nEmbedding,
@@ -22,7 +23,7 @@ from isk4lab.patterns import (
     is_prism,
     iter_maximal_k12n,
 )
-from test_graphs import random_graph_strategy, series_parallel_graph
+from test_graphs import random_graph_strategy
 
 K4 = Graph.complete(4)
 C6 = Graph.cycle(6)
@@ -298,16 +299,14 @@ class TestK4MinorFreeAtScale:
     K4 minor; walking every subset of these would never finish."""
 
     @pytest.mark.parametrize("g", [
-        Graph.cycle(30), series_parallel_graph(random.Random(44), 40)],
+        Graph.cycle(30),
+        Graph.from_edges(*ladders.series_parallel(random.Random(44), 40, 40))],
         ids=["C30", "series-parallel-40"])
     def test_searches_return_none(self, g):
+        assert nx.is_biconnected(oracles.to_nx(g))
         assert contains_isk4(g) is None
         assert contains_fixed(g, "prism") is None
         assert contains_fixed(g, "wheel") is None
-
-    def test_series_parallel_graph_is_2_connected(self):
-        g = series_parallel_graph(random.Random(44), 40)
-        assert nx.is_biconnected(oracles.to_nx(g))
 
 
 class TestK12n:
