@@ -341,7 +341,7 @@ def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
     if (cx[A] == cx[B]) == (cy[A] == cy[B]):
         return _merge(cx, cy, [A, B]), {"resolution": "agree"}
     # recolour the smaller block to match the larger block's relation on
-    # (a, b); failing that the larger block; failing both, the whole scope
+    # (a, b); failing that the larger block
     tries = [(bx, cy, "recolor_x"), (by, cx, "recolor_y")]
     if pc.x.bit_count() > pc.y.bit_count():
         tries.reverse()
@@ -349,11 +349,10 @@ def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
         redo = _recolor(h, back, block, (a, b), equal=kept[A] == kept[B])
         if redo is not None:
             return _merge(kept, redo, [A, B]), {"resolution": res}
-    raw = _backtrack(h, 4)
-    if raw is None:
-        raise _Fail("chromatic_bound_exceeded", 4, s.mask,
-                    {"bound": 4, "vertices": sorted(back)})
-    return dict(zip(back, raw)), {"resolution": "whole_exact"}
+    # h has no 4-colouring: one would give both blocks the same relation on
+    # (a, b), and each relation has just been refuted on one block
+    raise _Fail("chromatic_bound_exceeded", 4, s.mask,
+                {"bound": 4, "vertices": sorted(back)})
 
 
 def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:

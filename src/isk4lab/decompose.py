@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
 from .graphs import Graph, bits, chain, components, is_clique, mask_of
 
@@ -51,9 +51,6 @@ class Proper2Cutset:
             return False
         return not _is_ab_path(g, self.x, self.a, self.b) and \
             not _is_ab_path(g, self.y, self.a, self.b)
-
-
-CutsetFinding = Union[CliqueCutset, Proper2Cutset]
 
 
 def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:

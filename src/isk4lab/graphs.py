@@ -46,7 +46,7 @@ class Graph:
     irreflexivity and that no bits beyond n-1 are set.
     """
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -67,7 +67,6 @@ class Graph:
     def _set(self, n: int, adj: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, n: int, adj: Iterable[int]) -> "Graph":
@@ -173,11 +172,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.adj))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"

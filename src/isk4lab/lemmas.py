@@ -87,7 +87,15 @@ class LinkWitness:
 
 
 def is_linked(g: Graph, cycle: tuple[int, ...], v: int) -> Optional[LinkWitness]:
-    """Exhaustive backtracking for a linkage of v to the cycle, or None.
+    """First linkage of v to the cycle in search order, or None.
+
+    One search grows three paths from v in turn, each closed by its step onto
+    the cycle.  A step from `last` to w needs w on no path so far, `last` as
+    w's only neighbour on the current path, and no neighbour of w on the
+    finished paths but v, or their cycle ends when w is on the cycle.  From v
+    the steps are its neighbours past the previous path's first step; from an
+    interior vertex that sees the cycle, its one cycle neighbour; otherwise
+    the neighbours of `last`.
 
     Raises ValueError when the cycle is not induced or v lies on it.
     """
@@ -95,70 +103,36 @@ def is_linked(g: Graph, cycle: tuple[int, ...], v: int) -> Optional[LinkWitness]
         raise ValueError("cycle argument is not an induced cycle")
     if not 0 <= v < g.n or v in cycle:
         raise ValueError("linked vertex must exist and avoid the cycle")
-    cmask = mask_of(cycle)
-    if (g.adj[v] & cmask).bit_count() > 3:
+    adj, cmask = g.adj, mask_of(cycle)
+    if (adj[v] & cmask).bit_count() > 3:
         return None  # three path ends cannot absorb four cycle neighbours
 
-    found: list[LinkWitness] = []
-
-    def close(e: int, pmask: int, prev: int, nonv: int, endm: int) -> bool:
-        if pmask >> e & 1 or nonv >> e & 1:
-            return False
-        if g.adj[e] & pmask != 1 << prev:
-            return False
-        return g.adj[e] & nonv & ~endm == 0
-
-    def grow(path: tuple, pmask: int, done: list, nonv: int, endm: int):
-        # path always has >= 2 vertices here; single-edge paths close in start
-        if found:
-            return
-        last = path[-1]
-        cn = g.adj[last] & cmask
-        if cn:  # interior touched the cycle: the path must stop right here
-            if cn.bit_count() == 1:
-                e = cn.bit_length() - 1
-                if close(e, pmask, last, nonv, endm):
-                    finish(path + (e,), done)
-            return
-        for w in bits(g.adj[last] & ~cmask & ~nonv & ~pmask):
-            if g.adj[w] & pmask != 1 << last or g.adj[w] & nonv:
-                continue
-            grow(path + (w,), pmask | 1 << w, done, nonv, endm)
-            if found:
-                return
-
-    def finish(path: tuple, done: list) -> None:
-        done = done + [path]
+    def search(done: tuple, path: tuple, pmask: int, used: int):
+        # pmask: the current path's vertices; used: every path's vertices
         if len(done) == 3:
-            endm = mask_of(p[-1] for p in done)
-            if g.adj[v] & cmask & ~endm == 0:
-                found.append(LinkWitness(tuple(done)))
-            return
-        nonv = mask_of(u for p in done for u in p[1:])
-        endm = mask_of(p[-1] for p in done)
-        for first in bits(g.adj[v] & ~nonv):
-            if first <= done[-1][1]:
-                continue  # fix ascending first steps: kills permuted repeats
-            start(first, done, nonv, endm)
-            if found:
-                return
-
-    def start(first: int, done: list, nonv: int, endm: int) -> None:
-        if found:
-            return
-        if 1 << first & cmask:
-            if close(first, 1 << v, v, nonv, endm):
-                finish((v, first), done)
+            return LinkWitness(done) if adj[v] & cmask & ~used == 0 else None
+        last = path[-1]
+        if last == v:
+            low = done[-1][1] + 1 if done else 0
+            steps = adj[v] >> low << low
         else:
-            if g.adj[first] & nonv:
-                return
-            grow((v, first), 1 << v | 1 << first, done, nonv, endm)
+            steps = adj[last] & cmask or adj[last]
+            if steps & cmask and steps.bit_count() > 1:
+                return None  # the path must end at its first cycle neighbour
+        for w in bits(steps):
+            on_cycle = cmask >> w & 1
+            if used >> w & 1 or adj[w] & pmask != 1 << last \
+                    or adj[w] & used & ~pmask & ~(cmask if on_cycle else 0):
+                continue
+            if on_cycle:
+                found = search(done + (path + (w,),), (v,), 1 << v, used | 1 << w)
+            else:
+                found = search(done, path + (w,), pmask | 1 << w, used | 1 << w)
+            if found is not None:
+                return found
+        return None
 
-    for f1 in bits(g.adj[v]):
-        start(f1, [], 0, 0)
-        if found:
-            break
-    result = found[0] if found else None
+    result = search((), (v,), 1 << v, 1 << v)
     if result is not None:
         assert result.validate(g, tuple(cycle))
     return result

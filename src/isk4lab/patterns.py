@@ -279,20 +279,17 @@ def iter_maximal_k12n(g: Graph, n_min: int) -> Iterator[K12nEmbedding]:
 def _maximal_csides(g, a, b, cset, n_min) -> Iterator[K12nEmbedding]:
     # independent sets of g[cset] in preorder (= lex on sorted tuples), kept
     # when the embedding they give is maximal
-    out = []
-
     def visit(chosen: tuple, chosen_mask: int, rest: list[int]):
         if len(chosen) >= n_min:
             emb = K12nEmbedding(a, b, chosen)
             if is_maximal_k12n(g, emb):
-                out.append(emb)
+                yield emb
         for i, v in enumerate(rest):
             if g.adj[v] & chosen_mask:
                 continue
-            visit(chosen + (v,), chosen_mask | 1 << v, rest[i + 1:])
+            yield from visit(chosen + (v,), chosen_mask | 1 << v, rest[i + 1:])
 
-    visit((), 0, cset)
-    return iter(out)
+    return visit((), 0, cset)
 
 
 def find_maximal_k12n(g: Graph, n_min: int) -> Optional[K12nEmbedding]:

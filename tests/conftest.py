@@ -1,11 +1,4 @@
-import sys
-from pathlib import Path
-
-# the repository root, so tests can build graphs with the benchmark's seeded
-# generators in bench/ladders.py
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from _accept import SUMMARY  # noqa: E402
+from _accept import SUMMARY
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -91,6 +91,23 @@ def has_k4_minor(g):
     return False
 
 
+def brute_linked(g, cycle, v):
+    """Is v linked to the induced cycle?  Exactly when some set S of vertices
+    off the cycle, v among them, makes g[cycle + S] smooth to K4 with v of
+    degree 3: the cycle is then the subdivided triangle opposite v, and S
+    holds the three paths from v to it."""
+    cset = set(cycle)
+    rest = [u for u in range(g.n) if u != v and u not in cset]
+    all_edges = g.edges()
+    for r in range(len(rest) + 1):
+        for extra in combinations(rest, r):
+            vs = cset | {v, *extra}
+            edges = [e for e in all_edges if e[0] in vs and e[1] in vs]
+            if sum(v in e for e in edges) == 3 and _smooth_to_k4(vs, edges):
+                return True
+    return False
+
+
 # -- complete multipartite / K_{1,2,n} ------------------------------------
 
 

@@ -53,6 +53,14 @@ SQ_THREE_CENTERS = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0)]
                                     + [(c, v) for c in (4, 5, 6)
                                        for v in range(4)])
 
+# triangle {2,3,4} complete to 0 and 1; K4 {5..8} with 0~5,6, 1~7,8.  Each
+# side of the cut pair {0,1} 4-colours, but never with the same relation on
+# the pair, so the graph needs five colours
+SPLIT_NEEDS_FIVE = Graph.from_edges(9, [(2, 3), (2, 4), (3, 4)]
+                                    + [(t, v) for t in (2, 3, 4) for v in (0, 1)]
+                                    + [(u + 5, v + 5) for u, v in K4.edges()]
+                                    + [(0, 5), (0, 6), (1, 7), (1, 8)])
+
 
 def pipeline_ok(g):
     out = structural_four_coloring(g)
@@ -226,6 +234,13 @@ class TestPipelineExamples:
         assert r.kind == "chromatic_bound_exceeded" and r.rule == 8
         assert not r.conjecture_counterexample
 
+    def test_split_refused_when_no_recolouring_fits(self):
+        # neither block recolours to the other's relation on the cut pair, so
+        # the split refuses at once: no 4-colouring of the whole can exist
+        assert structural_four_coloring(SPLIT_NEEDS_FIVE) == ColoringFailure(
+            "chromatic_bound_exceeded", 4, 511,
+            {"bound": 4, "vertices": list(range(9))}, False)
+
     def test_rule5_violation_is_honest(self):
         # K33 plus a vertex seeing two same-side vertices: no cutset, K33
         # present, not multipartite; such a graph must contain an induced
@@ -284,13 +299,7 @@ class TestTraceReplay:
             replay_trace(g, ColoringTrace((bad,) + t.steps[1:]))
 
     def test_replay_refusal_is_value_error(self):
-        # triangle {2,3,4} complete to 0 and 1; K4 {5..8} with 0~5,6, 1~7,8.
-        # Each side of the cut pair {0,1} 4-colours, but never with the same
-        # relation on the pair, so the recorded split needs five colours
-        g = Graph.from_edges(9, [(2, 3), (2, 4), (3, 4)]
-                             + [(t, v) for t in (2, 3, 4) for v in (0, 1)]
-                             + [(u + 5, v + 5) for u, v in K4.edges()]
-                             + [(0, 5), (0, 6), (1, 7), (1, 8)])
+        g = SPLIT_NEEDS_FIVE
         trace = ColoringTrace((
             TraceStep("Proper2CutsetSplit", g.vertex_mask,
                       {"a": 0, "b": 1, "x": [2, 3, 4], "y": [5, 6, 7, 8]}),

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from isk4lab.lemmas import (
     iter_induced_cycles,
 )
 from isk4lab.patterns import K12nEmbedding, contains_isk4, iter_maximal_k12n
+from oracles import brute_linked
 from test_graphs import random_graph_strategy
 from test_patterns import K33, K123, all_graphs
 
@@ -111,6 +113,38 @@ class TestIsLinked:
                 if w is not None:
                     assert w.validate(g, cycle)
                     assert contains_isk4(g) is not None
+
+
+def link_pairs(graphs):
+    for g in graphs:
+        for cycle in iter_induced_cycles(g):
+            for v in bits(g.vertex_mask & ~mask_of(cycle)):
+                yield g, cycle, v
+
+
+class TestIsLinkedAgainstOracle:
+    """is_linked finds a linkage exactly when the brute-force oracle does."""
+
+    @staticmethod
+    def assert_agree(graphs):
+        """Check every pair of the graphs; give the number of linked pairs."""
+        linked = 0
+        for g, cycle, v in link_pairs(graphs):
+            got = is_linked(g, cycle, v) is not None
+            assert got == brute_linked(g, cycle, v), (g, cycle, v)
+            linked += got
+        return linked
+
+    def test_universe_n_le_5(self):
+        graphs = (g for n in range(6) for g in all_graphs(n))
+        assert self.assert_agree(graphs) > 0
+
+    def test_seeded_n_6_to_8(self):
+        rng = random.Random(8)
+        graphs = [Graph.from_code(n, rng.getrandbits(n * (n - 1) // 2))
+                  for n in (6, 7, 8) for _ in range(40)]
+        assert any(contains_isk4(g) is not None for g in graphs)
+        assert self.assert_agree(graphs) > 0
 
 
 class TestVertexAttachment:
