@@ -55,7 +55,10 @@ class Coloring:
             return False
         if sorted(set(self.color)) != list(range(self.k)):
             return False
-        return all(self.color[u] != self.color[v] for u, v in g.edges())
+        cls = [0] * self.k
+        for v, c in enumerate(self.color):
+            cls[c] |= 1 << v
+        return all(not g.adj[v] & cls[c] for v, c in enumerate(self.color))
 
 
 @dataclass(frozen=True)
@@ -106,48 +109,59 @@ def _backtrack(h: Graph, k: int, pair: Optional[tuple[int, int]] = None,
                equal: bool = False) -> Optional[list[int]]:
     """First k-colouring under saturation-degree ordering, or None.
 
-    Colours are tried ascending and capped at one above the count already
-    used, which is sound: any colouring can be renamed into that form, and
-    the optional pair constraint (colour equality or inequality on two
-    vertices) is invariant under renaming.
+    The next vertex is the uncoloured one with the largest key (saturation,
+    degree, -v).  Colours are tried ascending and capped at one above the
+    count already used, which is sound: any colouring can be renamed into
+    that form, and the optional pair constraint (colour equality or
+    inequality on two vertices) is invariant under renaming.
+
+    sees[c] is the mask of vertices with a neighbour coloured c: a vertex
+    taking colour c adds its neighbourhood, and backtracking restores the
+    mask.  An uncoloured vertex's saturation is the number of colours c <
+    used whose mask holds it, and those colours are the ones it may not take.
+    The key is packed into one int, sat * n^2 + degree * n + (n - 1 - v).
     """
     n = h.n
     col = [-1] * n
-    if n == 0:
-        return col
     adj = h.adj
+    sees = [0] * k
+    step = n * n
+    base = [adj[v].bit_count() * n + n - 1 - v for v in range(n)]
 
-    def pick() -> int:
-        best, bkey = -1, None
-        for v in range(n):
-            if col[v] >= 0:
-                continue
-            sat = len({col[u] for u in bits(adj[v]) if col[u] >= 0})
-            key = (sat, adj[v].bit_count(), -v)
-            if bkey is None or key > bkey:
-                best, bkey = v, key
-        return best
-
-    def go(done: int, used: int) -> bool:
-        if done == n:
+    def go(free: int, used: int) -> bool:
+        if not free:
             return True
-        v = pick()
-        banned = {col[u] for u in bits(adj[v]) if col[u] >= 0}
+        bkey = -1
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            key = base[v]
+            for c in range(used):
+                if sees[c] & low:
+                    key += step
+            if key > bkey:
+                best, bkey = v, key
+        v, low = best, 1 << best
         other = -1
         if pair is not None and v in pair:
             other = pair[1] if v == pair[0] else pair[0]
         for c in range(min(k, used + 1)):
-            if c in banned:
+            if sees[c] & low:
                 continue
             if other >= 0 and col[other] >= 0 and equal != (c == col[other]):
                 continue
             col[v] = c
-            if go(done + 1, used + (c == used)):
+            kept = sees[c]
+            sees[c] = kept | adj[v]
+            if go(free ^ low, used + (c == used)):
                 return True
-            col[v] = -1
+            sees[c] = kept
+        col[v] = -1
         return False
 
-    return col if go(0, 0) else None
+    return col if go(h.vertex_mask, 0) else None
 
 
 def _canon_list(colors: Iterable[int]) -> list[int]:

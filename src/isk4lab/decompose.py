@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, bits, chain, components, is_clique, mask_of
+from .graphs import Graph, bits, chain, components, is_clique, is_connected, mask_of
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class CliqueCutset:
         cut = mask_of(self.vertices)
         if cut.bit_count() != len(self.vertices) or not is_clique(g, cut):
             return False
-        return len(components(g, g.vertex_mask & ~cut)) >= 2
+        return not is_connected(g, g.vertex_mask & ~cut)
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,30 @@ def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
     return walk[-1] == b and len(walk) == sub.bit_count() - 1
 
 
+def _small_cliques(g: Graph):
+    """Cliques of at most three vertices as sorted tuples, in the order
+    find_clique_cutset tries them."""
+    up = [row >> u + 1 << u + 1 for u, row in enumerate(g.adj)]  # above u
+    yield ()
+    yield from ((u,) for u in range(g.n))
+    yield from ((u, v) for u in range(g.n) for v in bits(up[u]))
+    yield from ((u, v, w) for u in range(g.n) for v in bits(up[u])
+                for w in bits(up[u] & up[v]))
+
+
 def find_clique_cutset(g: Graph) -> Optional[CliqueCutset]:
     """Least clique cutset of size <= 3: smallest size first, then by
-    sorted vertex list. Size 0 (disconnected input) and 1 (cutvertex) count."""
-    for size in range(4):
-        for combo in combinations(range(g.n), size):
-            if any(not g.has_edge(u, v) for u, v in combinations(combo, 2)):
-                continue
-            rest = g.vertex_mask & ~mask_of(combo)
-            if len(components(g, rest)) >= 2:
-                return CliqueCutset(combo)
+    sorted vertex list. Size 0 (disconnected input) and 1 (cutvertex) count.
+
+    Candidates come in that order: the empty set, each vertex u, each edge
+    u < v with v from adj[u], each triangle u < v < w with w from
+    adj[u] & adj[v], every group ascending.  The first one whose removal
+    leaves g disconnected is returned.
+    """
+    full = g.vertex_mask
+    for c in _small_cliques(g):
+        if not is_connected(g, full & ~mask_of(c)):
+            return CliqueCutset(c)
     return None
 
 

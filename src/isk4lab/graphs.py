@@ -79,6 +79,11 @@ class Graph:
     def __setattr__(self, *args):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checking constructor, not by
+        # writing slots, which __setattr__ refuses
+        return Graph, (self.n, self.adj)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -183,42 +188,59 @@ class Graph:
 
 def induced_subgraph(g: Graph, vset: int) -> tuple[Graph, list[int]]:
     """Induced subgraph on the vertex mask, plus the order-preserving
-    relabelling map: new vertex i corresponds to old vertex vmap[i]."""
-    vmap = list(bits(vset))
-    index = {v: i for i, v in enumerate(vmap)}
-    adj = [mask_of(index[u] for u in bits(g.adj[v] & vset)) for v in vmap]
+    relabelling map: new vertex i corresponds to old vertex vmap[i].  The
+    new index of an old vertex is the number of vset's vertices below it."""
+    vmap = []
+    adj = []
+    rest = vset
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        vmap.append(v)
+        row = 0
+        nb = g.adj[v] & vset
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            row |= 1 << (vset & (low - 1)).bit_count()
+        adj.append(row)
     return Graph._trusted(len(vmap), adj), vmap
+
+
+def _reach(adj: tuple[int, ...], within: int, seed: int) -> int:
+    """The vertices of within reachable from the seed mask inside within,
+    over the adjacency rows adj, by breadth-first layers; stops once the
+    whole of within is reached."""
+    seen = frontier = seed
+    while frontier and seen != within:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
 
 
 def components(g: Graph, within: int | None = None) -> list[int]:
     """Connected components of g[within] as masks, ordered by smallest vertex."""
     if within is None:
         within = g.vertex_mask
-    remaining = within
     out = []
-    adj = g.adj
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            nxt &= within & ~comp
-            comp |= nxt
-            frontier = nxt
-        out.append(comp)
-        remaining &= ~comp
+    rest = within
+    while rest:
+        out.append(_reach(g.adj, within, rest & -rest))
+        rest &= ~out[-1]
     return out
 
 
 def is_connected(g: Graph, within: int | None = None) -> bool:
+    """Is g[within] connected?  True for the empty set."""
     if within is None:
         within = g.vertex_mask
-    if within == 0:
-        return True
-    return len(components(g, within)) == 1
+    return not within or _reach(g.adj, within, within & -within) == within
 
 
 def neighborhood(g: Graph, vset: int) -> int:

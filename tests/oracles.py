@@ -172,14 +172,16 @@ def _nx_disconnects(h, cut):
     return not nx.is_connected(sub)
 
 
-def brute_has_clique_cutset(g, kmax=3):
+def least_clique_cutset(g, kmax=3):
+    """The first clique of at most kmax vertices, by (size, sorted tuple),
+    whose removal networkx finds disconnects g; None if there is none."""
     h = to_nx(g)
     for r in range(0, kmax + 1):
         for cut in combinations(range(g.n), r):
             if all(h.has_edge(u, v) for u, v in combinations(cut, 2)) and \
                     _nx_disconnects(h, cut):
-                return True
-    return False
+                return cut
+    return None
 
 
 def _is_ab_path(h, side, a, b):
@@ -271,3 +273,45 @@ def _assignments(n, k):
     for rest in _assignments(n - 1, k):
         for c in range(k):
             yield rest + (c,)
+
+
+def dsatur_reference(g, k, pair=None, equal=False):
+    """First k-colouring in DSATUR order, or None: the uncoloured vertex of
+    largest (saturation, degree, -v) next, its colours ascending up to one
+    above the count used, an optional equal / unequal pair constraint.
+    Saturation is recomputed as a set of neighbour colours at every step."""
+    n = g.n
+    nbrs = [[u for u in range(n) if g.has_edge(v, u)] for v in range(n)]
+    col = [-1] * n
+
+    def pick():
+        best, bkey = -1, None
+        for v in range(n):
+            if col[v] >= 0:
+                continue
+            sat = len({col[u] for u in nbrs[v] if col[u] >= 0})
+            key = (sat, len(nbrs[v]), -v)
+            if bkey is None or key > bkey:
+                best, bkey = v, key
+        return best
+
+    def go(done, used):
+        if done == n:
+            return True
+        v = pick()
+        banned = {col[u] for u in nbrs[v] if col[u] >= 0}
+        other = -1
+        if pair is not None and v in pair:
+            other = pair[1] if v == pair[0] else pair[0]
+        for c in range(min(k, used + 1)):
+            if c in banned:
+                continue
+            if other >= 0 and col[other] >= 0 and equal != (c == col[other]):
+                continue
+            col[v] = c
+            if go(done + 1, used + (c == used)):
+                return True
+            col[v] = -1
+        return False
+
+    return col if go(0, 0) else None

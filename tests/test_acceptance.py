@@ -40,7 +40,7 @@ from _accept import (
     rep_graphs,
     subcubic_line_graph_codes,
 )
-from oracles import brute_has_clique_cutset, brute_has_proper_2cutset, isk4_subsets
+from oracles import brute_has_proper_2cutset, isk4_subsets, least_clique_cutset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEFAULT_BUDGET = 20000
@@ -162,7 +162,7 @@ def test_oracle_equivalences():
     for n in range(1, 8):
         for code, g in rep_graphs(n).items():
             cc = find_clique_cutset(g)
-            if (cc is not None) != brute_has_clique_cutset(g):
+            if (cc and cc.vertices) != least_clique_cutset(g):
                 mismatch.append(("clique-cutset", n, code))
             if cc is not None:
                 assert cc.validate(g)

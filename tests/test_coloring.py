@@ -2,11 +2,13 @@
 structural recursion with its replayable traces."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from isk4lab.coloring import (
+    _backtrack,
     BoundExceeded,
     Coloring,
     ColoringFailure,
@@ -21,14 +23,15 @@ from isk4lab.coloring import (
     structural_four_coloring,
 )
 from isk4lab.decompose import (
+    find_proper_2cutset,
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
 from isk4lab.graphs import Graph, bits, mask_of, parse_graph6
 from isk4lab.patterns import contains_isk4, find_rich_square
 
-from oracles import brute_chromatic_number, has_isk4
-from test_graphs import random_graph_strategy
+from oracles import brute_chromatic_number, dsatur_reference, has_isk4
+from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import C6, K4, K33, K123, K222, PRISM6, all_graphs
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -85,6 +88,24 @@ class TestColoringValidate:
     def test_rejects_wrong_k(self):
         assert not Coloring((0, 1, 0, 1, 2), 4).validate(C5)
 
+    def test_matches_edge_list_check(self):
+        # against the plain definition, on seeded colour tuples that are
+        # proper (greedy) and arbitrary (often improper or off-palette)
+        rng = random.Random(12)
+        for n in range(6):
+            for g in all_graphs(n):
+                greedy = []
+                for v in range(n):
+                    taken = {greedy[u] for u in range(v) if g.has_edge(u, v)}
+                    greedy.append(min(set(range(n)) - taken))
+                tuples = [tuple(greedy)] + [tuple(rng.randrange(3) for _ in range(n))
+                                            for _ in range(2)]
+                for color in tuples:
+                    for k in {len(set(color)), 3}:
+                        expect = sorted(set(color)) == list(range(k)) and all(
+                            color[u] != color[v] for u, v in g.edges())
+                        assert Coloring(color, k).validate(g) == expect
+
 
 class TestChromaticNumberExact:
     def test_k4(self):
@@ -115,6 +136,26 @@ class TestChromaticNumberExact:
         k, c = chromatic_number_exact(g)
         assert k == brute_chromatic_number(g)
         assert c.validate(g) and c.k == k
+
+
+class TestBacktrackAgainstReference:
+    def test_identical_colourings(self):
+        # the colour-mask DSATUR against the set-based one: same first
+        # colouring or the same None, with and without a pair constraint;
+        # the large graphs take the pair of their proper 2-cutset, as the
+        # recursion's recolouring does
+        for g in kernel_graphs():
+            pairs = [None]
+            if 2 <= g.n <= 6:
+                pairs.append((g.n - 1, g.code() % (g.n - 1)))
+            elif g.n > 6:
+                pc = find_proper_2cutset(g)
+                pairs += [(pc.a, pc.b), (pc.b, pc.a)]
+            for k in range(1, 5):
+                for pair in pairs:
+                    for equal in (False, True) if pair else (False,):
+                        assert _backtrack(g, k, pair, equal) == \
+                            dsatur_reference(g, k, pair, equal), (g, k, pair, equal)
 
 
 class TestMultipartiteColorer:

@@ -15,7 +15,7 @@ from isk4lab.decompose import (
     recognize_line_graph_subcubic,
 )
 from isk4lab.graphs import Graph, bits, is_connected, mask_of
-from test_graphs import random_graph_strategy
+from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import K33, K123, K222, PRISM6, all_graphs
 
 
@@ -46,9 +46,11 @@ class TestCliqueCutset:
         assert find_clique_cutset(K33) is None
 
     def test_exhaustive_n5_against_brute(self):
-        for g in all_graphs(5):
+        # the first clique by (size, sorted tuple) that disconnects, exactly;
+        # every graph with n <= 5 and more
+        for g in kernel_graphs():
             got = find_clique_cutset(g)
-            assert (got is not None) == oracles.brute_has_clique_cutset(g)
+            assert (got and got.vertices) == oracles.least_clique_cutset(g)
             if got is not None:
                 assert got.validate(g)
 
@@ -56,9 +58,19 @@ class TestCliqueCutset:
     @given(random_graph_strategy(max_n=7))
     def test_presence_matches_brute(self, g):
         got = find_clique_cutset(g)
-        assert (got is not None) == oracles.brute_has_clique_cutset(g)
+        assert (got and got.vertices) == oracles.least_clique_cutset(g)
         if got is not None:
             assert got.validate(g)
+
+    def test_validate_matches_networkx(self):
+        for g in all_graphs(5):
+            h = oracles.to_nx(g)
+            for r in range(4):
+                for cut in combinations(range(g.n), r):
+                    rest = h.subgraph(set(h) - set(cut))
+                    expect = all(h.has_edge(u, v) for u, v in combinations(cut, 2)) \
+                        and len(rest) > 0 and not nx.is_connected(rest)
+                    assert CliqueCutset(cut).validate(g) == expect
 
 
 class TestProper2Cutset:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -44,6 +46,19 @@ def random_graph_strategy(max_n=8):
 graphs = random_graph_strategy()
 
 
+def kernel_graphs():
+    """Inputs of the kernel-against-oracle tests: every graph with n <= 5,
+    every fifth graph with n = 6, and seeded 2-connected series-parallel
+    graphs with n = 20..40."""
+    for n in range(7):
+        step = 5 if n == 6 else 1
+        for code in range(0, 1 << n * (n - 1) // 2, step):
+            yield Graph.from_code(n, code)
+    rng = random.Random(20)
+    for n in range(20, 41, 4):
+        yield Graph.from_edges(*ladders.series_parallel(rng, n, 10))
+
+
 class TestConstruction:
     def test_from_edges(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -70,6 +85,24 @@ class TestConstruction:
         g = Graph.empty(3)
         with pytest.raises(AttributeError):
             g.n = 5
+
+    def test_pickle_and_copy_round_trip(self):
+        for g in [Graph.empty(0), Graph.cycle(5), Graph.complete(4),
+                  Graph.from_edges(4, [(0, 1), (2, 3)])]:
+            for h in [pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)]:
+                assert h == g and type(h) is Graph
+                with pytest.raises(AttributeError):
+                    h.adj = ()
+
+    def test_unpickling_runs_the_checks(self):
+        class Smuggled:
+            # a reduce tuple naming Graph with an asymmetric adjacency
+            def __reduce__(self):
+                return Graph, (2, (0b10, 0b00))
+
+        data = pickle.dumps(Smuggled())
+        with pytest.raises(ValueError, match="asymmetric"):
+            pickle.loads(data)
 
     def test_complete_multipartite(self):
         g = Graph.complete_multipartite([1, 2, 3])
@@ -211,6 +244,30 @@ class TestSetOps:
         h, vmap = induced_subgraph(g, mask_of([0, 2, 3]))
         assert vmap == [0, 2, 3]
         assert h.edges() == [(1, 2)]  # only 2-3 survives
+
+    def test_induced_subgraph_against_networkx(self):
+        rng = random.Random(9)
+        for _ in range(2000):
+            n = rng.randint(0, 12)
+            g = Graph.from_code(n, rng.getrandbits(n * (n - 1) // 2))
+            mask = rng.getrandbits(n)
+            h, vmap = induced_subgraph(g, mask)
+            assert vmap == [v for v in range(n) if mask >> v & 1]
+            expect = nx.convert_node_labels_to_integers(
+                oracles.to_nx(g).subgraph(vmap), ordering="sorted")
+            assert h.edges() == sorted(tuple(sorted(e)) for e in expect.edges())
+
+    def test_components_against_networkx(self):
+        rng = random.Random(10)
+        for n in range(6):
+            for code in range(1 << n * (n - 1) // 2):
+                g = Graph.from_code(n, code)
+                within = rng.getrandbits(n)
+                sub = oracles.to_nx(g).subgraph(bits(within))
+                expect = sorted((mask_of(c) for c in nx.connected_components(sub)),
+                                key=lambda m: m & -m)  # by smallest vertex
+                assert components(g, within) == expect
+                assert is_connected(g, within) == (len(expect) <= 1)
 
     def test_components_ordering(self):
         g = Graph.from_edges(6, [(4, 5), (0, 2)])
