@@ -117,6 +117,8 @@ def _cmd_detect(args) -> int:
             doc = {"found": True, "pattern": name,
                    "vertices": sorted(bits(mask))}
     elif name == "k12n":
+        if args.n_min < 2:
+            raise _CliError("--n-min must be at least 2")
         emb = find_maximal_k12n(g, args.n_min)
         if emb is not None:
             doc = {"found": True, "pattern": name, **dataclasses.asdict(emb),
@@ -143,6 +145,8 @@ def _cmd_color(args) -> int:
     g = _load_graph(args.input, args.format)
     if args.mode == "exact":
         bound = args.bound
+        if bound is not None and bound < 0:
+            raise _CliError("--bound cannot be negative")
         res = chromatic_number_exact(g, bound)
         if isinstance(res, BoundExceeded):
             conj = bound is not None and bound >= 4 \

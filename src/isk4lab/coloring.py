@@ -120,6 +120,10 @@ def _backtrack(h: Graph, k: int, pair: Optional[tuple[int, int]] = None,
     mask.  An uncoloured vertex's saturation is the number of colours c <
     used whose mask holds it, and those colours are the ones it may not take.
     The key is packed into one int, sat * n^2 + degree * n + (n - 1 - v).
+
+    With equal=True a branch dies as soon as one end of the pair has a
+    colour d that the other, uncoloured end sees: masks only grow below a
+    node, so no colouring lies under it and the first one found is the same.
     """
     n = h.n
     col = [-1] * n
@@ -127,10 +131,17 @@ def _backtrack(h: Graph, k: int, pair: Optional[tuple[int, int]] = None,
     sees = [0] * k
     step = n * n
     base = [adj[v].bit_count() * n + n - 1 - v for v in range(n)]
+    tie = pair if equal else None
 
     def go(free: int, used: int) -> bool:
         if not free:
             return True
+        if tie is not None:
+            a, b = tie
+            ca, cb = col[a], col[b]
+            if ca >= 0 > cb and sees[ca] >> b & 1 or \
+                    cb >= 0 > ca and sees[cb] >> a & 1:
+                return False
         bkey = -1
         rest = free
         while rest:
@@ -261,10 +272,14 @@ def color_rich_square(g: Graph, s: SquareLinkStructure) -> Coloring:
 
 
 class _Scope:
-    """One instance of the recursion: h = g[mask], h-vertex i is back[i]."""
+    """One instance of the recursion: h = g[mask], h-vertex i is back[i].
+    A piece of a clique-cutset split keeps its parent's cutset (in g's
+    ids) as `after`, the floor of its own clique-cutset search."""
 
-    def __init__(self, g: Graph, mask: int):
+    def __init__(self, g: Graph, mask: int,
+                 after: Optional[list[int]] = None):
         self.mask = mask
+        self.after = after
         self.h, self.back = induced_subgraph(g, mask)
 
     def orig(self, vs: Iterable[int]) -> list[int]:
@@ -327,7 +342,7 @@ def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> tuple[dict, dict]:
     shared = s.orig(cc.vertices)
     merged: Optional[dict[int, int]] = None
     for cm in components(s.h, s.h.vertex_mask & ~smask):
-        part = sub(cm | smask)
+        part = sub(cm | smask, after=shared)
         merged = part if merged is None else _merge(merged, part, shared)
     return merged, {}
 
@@ -470,7 +485,8 @@ _TABLE = (
           check=lambda s, n: n is not None,
           apply=lambda s, n, sub: (dict(zip(s.back, range(n))), {})),
     _Rule("CliqueCutsetSplit",
-          find=lambda s: find_clique_cutset(s.h),
+          find=lambda s: find_clique_cutset(
+              s.h, after=None if s.after is None else s.local(s.after)),
           encode=lambda s, cc: {"cutset": s.orig(cc.vertices)},
           decode=lambda s, d: CliqueCutset(tuple(sorted(s.local(d["cutset"])))),
           apply=_split_clique),
@@ -564,14 +580,16 @@ def _recorded(steps) -> Callable:
 
 
 def _solve(g: Graph, mask: int, depth: int, pick: Callable,
-           steps: list[TraceStep]) -> dict[int, int]:
+           steps: list[TraceStep], after: Optional[list[int]] = None
+           ) -> dict[int, int]:
     """Colour g[mask], taking each rule from pick and appending the applied
     steps to steps in pre-order."""
     assert depth <= g.n, "every rule must shrink its instance"
-    s = _Scope(g, mask)
+    s = _Scope(g, mask, after)
 
-    def sub(m: int) -> dict[int, int]:
-        return _solve(g, mask_of(s.orig(bits(m))), depth + 1, pick, steps)
+    def sub(m: int, after: Optional[list[int]] = None) -> dict[int, int]:
+        return _solve(g, mask_of(s.orig(bits(m))), depth + 1, pick, steps,
+                      after)
 
     # past Trivial, colour components independently, palettes overlapping
     comps = components(s.h) if s.h.n > 4 else []

@@ -7,8 +7,8 @@ against the host graph, independently of the search that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from itertools import combinations, dropwhile
+from typing import Iterable, Optional
 
 from .graphs import Graph, bits, chain, components, is_clique, is_connected, mask_of
 
@@ -75,7 +75,8 @@ def _small_cliques(g: Graph):
                 for w in bits(up[u] & up[v]))
 
 
-def find_clique_cutset(g: Graph) -> Optional[CliqueCutset]:
+def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
+                       ) -> Optional[CliqueCutset]:
     """Least clique cutset of size <= 3: smallest size first, then by
     sorted vertex list. Size 0 (disconnected input) and 1 (cutvertex) count.
 
@@ -83,9 +84,25 @@ def find_clique_cutset(g: Graph) -> Optional[CliqueCutset]:
     u < v with v from adj[u], each triangle u < v < w with w from
     adj[u] & adj[v], every group ascending.  The first one whose removal
     leaves g disconnected is returned.
+
+    `after` is a floor: every candidate at or before it in that order is
+    skipped.  It is exact for a piece of a clique-cutset split.  Let C be
+    the least clique cutset of a graph G, K a component of G - C, and g =
+    G[K ∪ C].  Take a clique S of g with S != C and (|S|, S) < (|C|, C).
+    Then S misses a vertex of C.  If g - S were disconnected, some component
+    of g - S would avoid the clique C \\ S; it lies inside K, whose
+    G-neighbours lie in K ∪ C, so S would be a clique cutset of G before C.
+    C is no cutset of g either, as g - C = K is connected.  So
+    find_clique_cutset(g, after=C) == find_clique_cutset(g), with C in g's
+    ids (an induced subgraph keeps the vertex order, so the order of
+    candidates is the same in g's ids as in G's).
     """
     full = g.vertex_mask
-    for c in _small_cliques(g):
+    cands: Iterable[tuple[int, ...]] = _small_cliques(g)
+    if after is not None:
+        floor = tuple(sorted(after))
+        cands = dropwhile(lambda c: (len(c), c) <= (len(floor), floor), cands)
+    for c in cands:
         if not is_connected(g, full & ~mask_of(c)):
             return CliqueCutset(c)
     return None

@@ -13,7 +13,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
@@ -120,32 +120,41 @@ class ScanReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ": "))
 
 
-def _run_check(name: str, facts: GraphFacts, cfg: ScanConfig
-               ) -> tuple[str, Optional[dict]]:
-    g, free = facts.g, facts.isk4 is None
-    if name == "ISK4-FILTER":
-        # a filter, not an assertion: graphs with an ISK4 are skipped
-        return ("pass", None) if free else ("skip", None)
-    if name == "CHI-LE-4":
-        if not free:
-            return "skip", None
-        res = chromatic_number_exact(g, 4)
-        if isinstance(res, BoundExceeded):
-            return "fail", {"reason": "chromatic number exceeds four",
-                            "bound": 4}
-        return "pass", None
-    if name == "STRUCTURAL-COLOR":
-        if not free:
-            return "skip", None
-        out = structural_four_coloring(g)
+class _ScanFacts(GraphFacts):
+    """GraphFacts plus the STRUCTURAL-COLOR verdict, which CHI-LE-4 reuses."""
+
+    @cached_property
+    def structural(self) -> tuple[str, Optional[dict]]:
+        out = structural_four_coloring(self.g)
         if isinstance(out, ColoringFailure):
             return "fail", {
                 "kind": out.kind, "rule": out.rule, "evidence": out.evidence,
                 "conjecture_counterexample": out.conjecture_counterexample}
         col, _ = out
-        if col.k > 4 or not col.validate(g):
+        if col.k > 4 or not col.validate(self.g):
             return "fail", {"reason": "returned colouring failed validation"}
         return "pass", None
+
+
+def _run_check(name: str, facts: _ScanFacts, cfg: ScanConfig
+               ) -> tuple[str, Optional[dict]]:
+    free = facts.isk4 is None
+    if name == "ISK4-FILTER":
+        # a filter, not an assertion: graphs with an ISK4 are skipped
+        return ("pass", None) if free else ("skip", None)
+    if not free and name in ("CHI-LE-4", "STRUCTURAL-COLOR"):
+        return "skip", None
+    if name == "CHI-LE-4":
+        # a colouring that passed STRUCTURAL-COLOR certifies chi <= 4
+        if "STRUCTURAL-COLOR" in cfg.checks and facts.structural[0] == "pass":
+            return "pass", None
+        res = chromatic_number_exact(facts.g, 4)
+        if isinstance(res, BoundExceeded):
+            return "fail", {"reason": "chromatic number exceeds four",
+                            "bound": 4}
+        return "pass", None
+    if name == "STRUCTURAL-COLOR":
+        return facts.structural
     report = check_lemma(facts, name, budget=cfg.budget)
     if not report.hypothesis_satisfied:
         return "skip", None
@@ -166,7 +175,7 @@ def _scan_one(cfg: ScanConfig, item: tuple[int, str]) -> dict:
         return {"line_no": line_no, "g6": text, "error": str(exc)}
     try:
         # one set of facts per graph, shared by every check, stays in the worker
-        facts = GraphFacts(g, contains_isk4(g))
+        facts = _ScanFacts(g, contains_isk4(g))
         return {
             "line_no": line_no, "g6": text, "n": g.n,
             "isk4_free": facts.isk4 is None,

@@ -97,6 +97,13 @@ class TestDetect:
                         write_graph6(K123))
         assert code == 1
 
+    @pytest.mark.parametrize("n_min", ["1", "0", "-2"])
+    def test_k12n_floor_below_two_is_input_error(self, capsys, n_min):
+        assert main(["detect", "--pattern", "k12n", "--n-min", n_min,
+                     write_graph6(K123)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_rich_square(self, capsys):
         code, doc = run(capsys, "detect", "--pattern", "rich-square",
                         write_graph6(K222))
@@ -125,6 +132,16 @@ class TestColor:
         assert code == 3
         assert doc["bound_exceeded"] and doc["bound"] == 2
         assert doc["conjecture_counterexample"] is False
+
+    def test_exact_bound_zero_is_a_bound(self, capsys):
+        code, doc = run(capsys, "color", "--mode", "exact", "--bound", "0",
+                        "DUW")
+        assert code == 3 and doc["bound"] == 0
+
+    def test_exact_negative_bound_is_input_error(self, capsys):
+        assert main(["color", "--mode", "exact", "--bound", "-1", "DUW"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
     def test_structural_multipartite(self, capsys):
         code, doc = run(capsys, "color", write_graph6(K123))

@@ -3,6 +3,7 @@ structural recursion with its replayable traces."""
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -141,14 +142,17 @@ class TestChromaticNumberExact:
 class TestBacktrackAgainstReference:
     def test_identical_colourings(self):
         # the colour-mask DSATUR against the set-based one: same first
-        # colouring or the same None, with and without a pair constraint;
-        # the large graphs take the pair of their proper 2-cutset, as the
-        # recursion's recolouring does
+        # colouring or the same None, with and without a pair constraint
+        # (every pair up to n = 5, so the cut of dead equal=True branches is
+        # seen to keep the first colouring); the large graphs take the pair
+        # of their proper 2-cutset, as the recursion's recolouring does
         for g in kernel_graphs():
             pairs = [None]
-            if 2 <= g.n <= 6:
+            if g.n <= 5:
+                pairs += combinations(range(g.n), 2)
+            elif g.n == 6:
                 pairs.append((g.n - 1, g.code() % (g.n - 1)))
-            elif g.n > 6:
+            else:
                 pc = find_proper_2cutset(g)
                 pairs += [(pc.a, pc.b), (pc.b, pc.a)]
             for k in range(1, 5):
@@ -156,6 +160,15 @@ class TestBacktrackAgainstReference:
                     for equal in (False, True) if pair else (False,):
                         assert _backtrack(g, k, pair, equal) == \
                             dsatur_reference(g, k, pair, equal), (g, k, pair, equal)
+
+    def test_equal_pair_with_spare_colours(self):
+        # four colours leave room to colour far past a pair that can no
+        # longer agree; the cut ends those branches at once
+        g = list(kernel_graphs())[-1]
+        assert g.n == 40
+        col = _backtrack(g, 4, (1, 20), equal=True)
+        assert col is not None and col[1] == col[20]
+        assert Coloring(tuple(col), 1 + max(col)).validate(g)
 
 
 class TestMultipartiteColorer:

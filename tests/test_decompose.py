@@ -14,7 +14,8 @@ from isk4lab.decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, bits, is_connected, mask_of
+from isk4lab.coloring import structural_four_coloring
+from isk4lab.graphs import Graph, bits, components, induced_subgraph, is_connected, mask_of
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import K33, K123, K222, PRISM6, all_graphs
 
@@ -61,6 +62,43 @@ class TestCliqueCutset:
         assert (got and got.vertices) == oracles.least_clique_cutset(g)
         if got is not None:
             assert got.validate(g)
+
+    def test_floor_keeps_the_least_cutset_of_each_piece(self):
+        # every piece K ∪ C of every clique-cutset split the recursion makes
+        # on n <= 6 and on the seeded series-parallel graphs: the search
+        # floored at C finds the piece's least clique cutset.  A disconnected
+        # host's pieces are those of its components, which come up as
+        # connected hosts of their own
+        hosts = [g for n in range(7) for g in all_graphs(n) if is_connected(g)]
+        hosts += [g for g in kernel_graphs() if g.n > 6]
+        seen = set()
+        for g in hosts:
+            out = structural_four_coloring(g)
+            if not isinstance(out, tuple):
+                continue
+            for step in out[1].steps:
+                if step.rule != "CliqueCutsetSplit":
+                    continue
+                cut = mask_of(step.detail["cutset"])
+                for k in components(g, step.scope & ~cut):
+                    piece, back = induced_subgraph(g, k | cut)
+                    c = tuple(back.index(v) for v in step.detail["cutset"])
+                    if (piece.adj, c) in seen:
+                        continue
+                    seen.add((piece.adj, c))
+                    least = find_clique_cutset(piece)
+                    assert find_clique_cutset(piece, after=c) == least
+                    assert (least and least.vertices) == \
+                        oracles.least_clique_cutset(piece), (g, step)
+        assert len(seen) > 1000
+
+    def test_floor_skips_up_to_and_including_it(self):
+        path = Graph.path(5)  # cutvertices 1, 2, 3
+        assert find_clique_cutset(path, after=()) == CliqueCutset((1,))
+        assert find_clique_cutset(path, after=(1,)) == CliqueCutset((2,))
+        assert find_clique_cutset(path, after=(3,)) == CliqueCutset((1, 2))
+        assert find_clique_cutset(path, after=(2, 1)) == CliqueCutset((2, 3))
+        assert find_clique_cutset(path, after=(2, 3)) is None
 
     def test_validate_matches_networkx(self):
         for g in all_graphs(5):

@@ -9,6 +9,7 @@ import pytest
 
 import isk4lab.lemmas as lemmas
 import isk4lab.scan as scan
+from isk4lab.coloring import ColoringFailure
 from isk4lab.graphs import Graph, parse_graph6, write_graph6
 from isk4lab.scan import CHECKS, ScanConfig, enumerate_small, scan_stream
 
@@ -225,6 +226,93 @@ class TestFactsOncePerGraph:
                               if counters[c]["skip"] == 0)
         # the window reaches both attachment lemmas past their hypotheses
         assert applicable["L-VOH"] > 0 and applicable["L-COMP"] > 0
+
+
+COLOUR_BOTH = ("ISK4-FILTER", "CHI-LE-4", "STRUCTURAL-COLOR")
+
+
+class TestColourOnce:
+    """With STRUCTURAL-COLOR selected, CHI-LE-4 takes its verdict from the
+    structural colouring and runs the exact search only where that failed."""
+
+    # the last ISK4-free graph of the small fixture, and its line number
+    line_no, target = [(i, line) for i, line in enumerate(SMALL, start=1)
+                       if not has_isk4(parse_graph6(line))][-1]
+
+    def test_chi_counters_match_without_structural(self):
+        fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
+        universe = [line for n in range(1, 7) for line in enumerate_small(n)]
+        for lines in (universe, fixture[:2000]):
+            alone = run(lines, checks=("ISK4-FILTER", "CHI-LE-4"))
+            both = run(lines, checks=COLOUR_BOTH)
+            assert alone.per_n.keys() == both.per_n.keys()
+            for n, counters in alone.per_n.items():
+                assert counters["checks"]["CHI-LE-4"] == \
+                    both.per_n[n]["checks"]["CHI-LE-4"], n
+            assert [w for w in both.failures if w["check"] == "CHI-LE-4"] == \
+                alone.failures
+
+    def count_calls(self, monkeypatch, plant=None):
+        """Count the scan's colouring calls; plant(g, out) may replace the
+        structural colouring's outcome."""
+        calls = Counter()
+        exact, structural = scan.chromatic_number_exact, scan.structural_four_coloring
+
+        def counted_exact(g, bound):
+            calls["exact"] += 1
+            return exact(g, bound)
+
+        def counted_structural(g):
+            calls["structural"] += 1
+            out = structural(g)
+            return out if plant is None else plant(g, out)
+
+        monkeypatch.setattr(scan, "chromatic_number_exact", counted_exact)
+        monkeypatch.setattr(scan, "structural_four_coloring", counted_structural)
+        return calls
+
+    def test_one_structural_and_no_exact_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
+        tot = run(SMALL + fixture[:500], checks=COLOUR_BOTH).totals()
+        assert tot["checks"]["STRUCTURAL-COLOR"]["fail"] == 0
+        assert tot["checks"]["CHI-LE-4"]["pass"] == tot["isk4_free"] > 300
+        assert calls == {"structural": tot["isk4_free"]}
+
+    def test_failed_colouring_falls_back_to_exact(self, monkeypatch):
+        target = self.target
+
+        def plant(g, out):
+            if write_graph6(g) != target:
+                return out
+            return ColoringFailure("hypothesis_violation", 5, g.vertex_mask,
+                                   {"planted": True})
+
+        calls = self.count_calls(monkeypatch, plant)
+        report = run(SMALL, checks=COLOUR_BOTH)
+        tot = report.totals()
+        assert calls == {"structural": tot["isk4_free"], "exact": 1}
+        assert tot["checks"]["CHI-LE-4"] == \
+            run(SMALL).totals()["checks"]["CHI-LE-4"]
+        assert [(w["graph6"], w["check"]) for w in report.failures] == \
+            [(target, "STRUCTURAL-COLOR")]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_colouring_is_one_internal_error(self, monkeypatch, jobs):
+        target = self.target
+
+        def plant(g, out):
+            if write_graph6(g) == target:
+                raise RuntimeError("planted fault")
+            return out
+
+        self.count_calls(monkeypatch, plant)
+        report = run(SMALL, checks=COLOUR_BOTH, parallelism=jobs)
+        assert report.failures == [{
+            "line_no": self.line_no, "graph6": target, "check": "internal_error",
+            "evidence": {"type": "RuntimeError", "message": "planted fault"}}]
+        assert report.internal_errors == 1
+        assert report.totals()["read"] == len(SMALL) - 1
 
 
 class TestEnumerateSmall:
