@@ -30,7 +30,8 @@ from .decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from .graphs import Graph, attachment, bits, components, induced_subgraph, mask_of
+from .graphs import (Graph, attachment, bits, components, has_k4_minor,
+                     induced_subgraph, mask_of)
 from .patterns import (
     K12nEmbedding,
     SquareLink,
@@ -181,15 +182,41 @@ def _canon_list(colors: Iterable[int]) -> list[int]:
     return [ren.setdefault(c, len(ren)) for c in colors]
 
 
+def _first_level(g: Graph) -> int:
+    """A lower bound on the chromatic number: 0 with no vertex, 1 with no
+    edge, 2 for a bipartite graph, else 3.  Breadth-first layers from the
+    least vertex of each component decide bipartiteness: g is bipartite iff
+    no edge joins two vertices of one layer."""
+    if not any(g.adj):
+        return min(g.n, 1)
+    rest = g.vertex_mask
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                if g.adj[v] & frontier:
+                    return 3
+                nxt |= g.adj[v]
+            frontier = nxt & ~seen
+            seen |= frontier
+        rest &= ~seen
+    return 2
+
+
 def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
                            ) -> Union[tuple[int, Coloring], BoundExceeded]:
     """Minimum colour count by iterative deepening on k.
+
+    k starts at _first_level(g), a lower bound on the chromatic number: the
+    levels skipped have no colouring, so the first colouring found is the
+    same.
 
     With upper_bound set, a graph needing more colours yields
     BoundExceeded(upper_bound) instead of a colouring.
     """
     hi = g.n if upper_bound is None else min(upper_bound, g.n)
-    for k in range(min(1, g.n), hi + 1):
+    for k in range(_first_level(g), hi + 1):
         raw = _backtrack(g, k)
         if raw is not None:
             out = Coloring(tuple(_canon_list(raw)), k)
@@ -293,8 +320,18 @@ class _Scope:
         return {v: i for i, v in enumerate(self.back)}
 
     @cached_property
+    def k4_minor(self) -> bool:
+        """Does h have a K4 minor?  Without one, rules 5 to 7 find nothing:
+        K33, a prism, a rich square (a centre link gives a W4, a path link
+        a subdivided prism) and K_{1,2,n} for n >= 2 (it holds K_{1,2,2} =
+        W4) each have a K4 minor."""
+        return has_k4_minor(self.h)
+
+    @cached_property
     def prism_or_rich(self):
         """Rule 6's gate, shared by its two rules: None or (prism, rich)."""
+        if not self.k4_minor:
+            return None
         prism, rich = contains_fixed(self.h, "prism"), find_rich_square(self.h)
         return None if prism is None and rich is None else (prism, rich)
 
@@ -391,7 +428,7 @@ def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
     mp = recognize_complete_multipartite(s.h)
     if mp is not None and len(mp.parts) <= 4:
         return mp
-    k33 = contains_fixed(s.h, "K33")
+    k33 = contains_fixed(s.h, "K33") if s.k4_minor else None
     if k33 is not None:
         raise _Fail("hypothesis_violation", 5, s.mask, {
             "expectation": "with K_{3,3} present and no clique cutset the "
@@ -437,7 +474,7 @@ def _k12n_detail(s: _Scope, emb: K12nEmbedding) -> dict:
 
 
 def _k12n(s: _Scope) -> Optional[K12nEmbedding]:
-    emb = find_maximal_k12n(s.h, 3)
+    emb = find_maximal_k12n(s.h, 3) if s.k4_minor else None
     if emb is None:
         return None
     stray = _stray(s.h, emb)

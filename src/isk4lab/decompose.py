@@ -64,6 +64,14 @@ def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
     return walk[-1] == b and len(walk) == sub.bit_count() - 1
 
 
+def _is_hole(g: Graph) -> bool:
+    """Is g a chordless cycle on at least four vertices: connected, every
+    vertex of degree 2?  Two disjoint cycles are not one, and they do have
+    both kinds of cutset."""
+    return g.n >= 4 and all(row.bit_count() == 2 for row in g.adj) \
+        and is_connected(g)
+
+
 def _small_cliques(g: Graph):
     """Cliques of at most three vertices as sorted tuples, in the order
     find_clique_cutset tries them."""
@@ -96,7 +104,14 @@ def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
     find_clique_cutset(g, after=C) == find_clique_cutset(g), with C in g's
     ids (an induced subgraph keeps the vertex order, so the order of
     candidates is the same in g's ids as in G's).
+
+    A chordless cycle on n >= 4 vertices has none, so it returns None at
+    once: it has no triangle, the empty set does not cut it (it is
+    connected), and removing one vertex or the two ends of one edge leaves
+    a path.
     """
+    if _is_hole(g):
+        return None
     full = g.vertex_mask
     cands: Iterable[tuple[int, ...]] = _small_cliques(g)
     if after is not None:
@@ -113,7 +128,14 @@ def find_proper_2cutset(g: Graph) -> Optional[Proper2Cutset]:
     groups (x, y) with neither side-plus-{a,b} an (a,b)-path.
 
     All 2^(#components) groupings are tried; the first admissible one wins.
+
+    A chordless cycle on n >= 4 vertices has none, so it returns None at
+    once: removing a non-adjacent pair {a,b} leaves the cycle's two arcs
+    from a to b as the only two components, so the only grouping puts one
+    arc on each side, and each arc with {a,b} induces an (a,b)-path.
     """
+    if _is_hole(g):
+        return None
     for a, b in combinations(range(g.n), 2):
         if g.has_edge(a, b):
             continue

@@ -164,7 +164,8 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = self.vertex_mask
-        return Graph(self.n, [full ^ self.adj[v] ^ (1 << v) for v in range(self.n)])
+        return Graph._trusted(self.n, [full ^ self.adj[v] ^ (1 << v)
+                                       for v in range(self.n)])
 
     def relabel(self, perm: list[int]) -> "Graph":
         """perm[v] = new label of old vertex v."""

@@ -1,6 +1,7 @@
 """Colouring tests: the exact oracle, the three leaf colourers, and the
 structural recursion with its replayable traces."""
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -8,8 +9,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from isk4lab import coloring
 from isk4lab.coloring import (
     _backtrack,
+    _first_level,
     BoundExceeded,
     Coloring,
     ColoringFailure,
@@ -28,8 +31,9 @@ from isk4lab.decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, bits, mask_of, parse_graph6
-from isk4lab.patterns import contains_isk4, find_rich_square
+from isk4lab.graphs import Graph, bits, has_k4_minor, mask_of, parse_graph6
+from isk4lab.patterns import (contains_fixed, contains_isk4, find_maximal_k12n,
+                              find_rich_square)
 
 from oracles import brute_chromatic_number, dsatur_reference, has_isk4
 from test_graphs import kernel_graphs, random_graph_strategy
@@ -169,6 +173,78 @@ class TestBacktrackAgainstReference:
         col = _backtrack(g, 4, (1, 20), equal=True)
         assert col is not None and col[1] == col[20]
         assert Coloring(tuple(col), 1 + max(col)).validate(g)
+
+
+class TestRuleGates:
+    """The premises of the gates that skip searches which cannot succeed,
+    checked against the searches themselves."""
+
+    @staticmethod
+    def graphs():
+        yield from (g for n in range(7) for g in all_graphs(n))
+        yield from kernel_graphs()
+
+    def test_k4_minor_free_graphs_have_no_rule_5_to_7_structure(self):
+        free = 0
+        for g in self.graphs():
+            if has_k4_minor(g):
+                continue
+            free += 1
+            assert contains_fixed(g, "K33") is None, g
+            assert find_rich_square(g) is None, g
+            assert find_maximal_k12n(g, 2) is None, g
+        assert free > 1000
+
+    def test_levels_below_the_first_have_no_colouring(self):
+        # and levels 0 to 2 are exact: a first level of at most 2 has one
+        for g in self.graphs():
+            first = _first_level(g)
+            for k in range(first):
+                assert _backtrack(g, k) is None, (g, k)
+            assert first == 3 or _backtrack(g, first) is not None, g
+
+    def test_gated_searches_do_not_run(self, monkeypatch):
+        # a K4-minor-free graph reaches no K33, prism, rich-square or
+        # K_{1,2,n} search, and an odd cycle's exact search starts at k = 3
+        calls = []
+        for name in ("contains_fixed", "find_rich_square", "find_maximal_k12n",
+                     "_backtrack"):
+            real = getattr(coloring, name)
+            monkeypatch.setattr(coloring, name, lambda *a, real=real, name=name,
+                                **kw: calls.append((name, a[1:])) or real(*a, **kw))
+        g = list(kernel_graphs())[-1]
+        assert not has_k4_minor(g)
+        _, t = pipeline_ok(g)
+        assert "ExactFallback" in t.rules()
+        assert {name for name, _ in calls} == {"_backtrack"}
+        calls.clear()
+        assert chromatic_number_exact(C5)[0] == 3
+        assert calls == [("_backtrack", (3,))]
+
+    def test_first_levels(self):
+        assert _first_level(Graph.empty(0)) == 0
+        assert _first_level(Graph.empty(3)) == 1
+        assert _first_level(Graph.cycle(6)) == 2
+        assert _first_level(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4),
+                                                 (2, 4)])) == 3
+        assert _first_level(K4) == 3
+
+
+def test_kernel_graph_traces_are_pinned():
+    # the seeded series-parallel graphs with n = 20..40: a sha256 over each
+    # graph's trace steps and colouring, taken from the code before the
+    # search gates (K4-minor-free scopes, chordless cycles, the exact
+    # search's first level), which change no byte of either
+    h = hashlib.sha256()
+    for g in kernel_graphs():
+        if g.n < 20:
+            continue
+        c, t = pipeline_ok(g)
+        h.update(json.dumps([[s.rule, s.scope, s.detail]
+                             for s in t.steps]).encode())
+        h.update(json.dumps(c.color).encode())
+    assert h.hexdigest() == \
+        "93941d9f0788876002754b2c8ec03deef851e91555f892b7ab82c972bbf237c2"
 
 
 class TestMultipartiteColorer:

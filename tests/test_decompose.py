@@ -4,6 +4,7 @@ import networkx as nx
 from hypothesis import given, settings
 
 import oracles
+from isk4lab import decompose
 from isk4lab.decompose import (
     CliqueCutset,
     MultipartiteCert,
@@ -161,6 +162,45 @@ class TestProper2Cutset:
                         assert _is_ab_path(g, side, b, a) == want, (g.code(), side, b, a)
                         found += want
         assert found > 0
+
+
+TWO_C5 = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+
+
+class TestHoleGate:
+    """Both cutset finders return at once on a chordless cycle, and only on
+    a connected one."""
+
+    def test_cycles_have_neither_cutset_and_search_no_candidate(self, monkeypatch):
+        # C_4..C_40: one connectivity test per call for the gate, none for
+        # a candidate
+        calls = []
+        for name in ("is_connected", "components"):
+            real = getattr(decompose, name)
+            monkeypatch.setattr(decompose, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        for n in range(4, 41):
+            g = Graph.cycle(n)
+            assert find_clique_cutset(g) is None
+            assert find_clique_cutset(g, after=(0,)) is None
+            assert find_proper_2cutset(g) is None
+            assert calls == ["is_connected"] * 3, n
+            calls.clear()
+
+    def test_two_disjoint_cycles_keep_their_cutsets(self):
+        assert find_clique_cutset(TWO_C5) == CliqueCutset(())
+        # the answer the search gave before the gate existed
+        got = find_proper_2cutset(TWO_C5)
+        assert got == Proper2Cutset(0, 2, mask_of((1, 3, 4)),
+                                    mask_of(range(5, 10)))
+        assert got.validate(TWO_C5)
+
+    def test_cycle_with_a_chord_is_searched(self):
+        g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+        assert find_clique_cutset(g) == CliqueCutset((0, 3))
+        assert (find_proper_2cutset(g) is not None) == \
+            oracles.brute_has_proper_2cutset(g)
 
 
 class TestMultipartite:

@@ -356,6 +356,16 @@ class TestSetOps:
         assert g.complement().complement() == g
         assert Graph.complete(4).complement() == Graph.empty(4)
 
+    def test_complement_passes_the_checking_constructor(self):
+        # built unchecked, so every complement must be one the checks accept
+        for n in range(6):
+            for code in range(1 << n * (n - 1) // 2):
+                g = Graph.from_code(n, code)
+                co = g.complement()
+                assert Graph(co.n, co.adj) == co
+                assert co.edge_count() == n * (n - 1) // 2 - g.edge_count()
+                assert co.complement() == g
+
 
 class TestK4Minor:
     """has_k4_minor against the brute-force oracle, which looks for an edge
