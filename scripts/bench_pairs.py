@@ -15,7 +15,8 @@ src bench``, the code the runs use (once committed, the same hash comes from
 ``git diff --binary PARENT COMMIT -- src bench``).  For every metric the summary gives each side's quartiles
 (q1, median, q3, inclusive method), the change's median over the parent's,
 and in how many pairs the change read better, ties counting for neither;
-which direction is better comes from BENCHMARK.json.
+which direction is better comes from BENCHMARK.json.  A metric with a
+bound in BENCHMARK.json also gets a verdict (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per workload and metric: both sides' quartiles, the ratio of the
-    medians and the change's wins over the pairs; plus failures per side.
-    A run is {"side", "workload", "pair", "result"}, result being the last
-    line bench/run.py printed."""
+    medians, the change's wins over the pairs and, for a metric in bounds,
+    its verdict; plus failures per side.  A run is {"side", "workload",
+    "pair", "result"}, result being the last line bench/run.py printed."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -62,6 +64,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                                p["parent"]["metrics"][metric]["value"])
                        for p in whole)
             entry["change_wins"] = f"{wins}/{len(whole)}"
+            if metric in (bounds or {}) and all(sides.values()):
+                entry["verdict"] = verdict(entry, better.get(metric, "lower"),
+                                           bounds[metric], wins, len(whole))
             row[metric] = entry
         row["failed"] = {side: sum(r["result"]["failed"] for r in mine
                                    if r["side"] == side)
@@ -69,6 +74,27 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         row["correct"] = all(r["result"]["correct"] for r in mine)
         out[workload] = row
     return out
+
+
+def verdict(entry: dict, direction: str, bound: float, wins: int,
+            pairs: int) -> str:
+    """"gain" when the change wins at least 9 of 10 pairs and the medians
+    lie further apart, its way, than the parent's q3 - q1; "worse" when the
+    change's median is worse than the parent's by more than the bound, a
+    fraction of the parent's median; "unresolved" when the parent's q3 - q1
+    is wider than that bound and the change did not win every pair; else
+    "within bound"."""
+    parent, change = entry["parent"], entry["change"]
+    sign = 1 if direction == "higher" else -1
+    ahead = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    if pairs and 10 * wins >= 9 * pairs and ahead > spread:
+        return "gain"
+    if -ahead > bound * abs(parent["median"]):
+        return "worse"
+    if spread > bound * abs(parent["median"]) and wins < pairs:
+        return "unresolved"
+    return "within bound"
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -87,6 +113,13 @@ def directions(benchmark: dict) -> dict[str, str]:
     """Metric name -> "higher" or "lower", from BENCHMARK.json."""
     return {m["name"]: m["better"]
             for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+
+
+def bounds(benchmark: dict) -> dict[str, float]:
+    """Metric name -> bound, for the metrics BENCHMARK.json bounds."""
+    return {m["name"]: m["bound"]
+            for m in benchmark["end_to_end"] + benchmark["per_layer"]
+            if "bound" in m}
 
 
 def host(env: dict) -> str:
@@ -145,7 +178,8 @@ def main(argv=None) -> int:
             ap.error(f"--workload {spec}: expected NAME=PAIRS")
         plan.append((name, int(count)))
 
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = directions(benchmark)
     runs: list[dict] = []
     with tempfile.TemporaryDirectory() as tmp:
         sha = extract(args.rev, Path(tmp))
@@ -171,7 +205,7 @@ def main(argv=None) -> int:
                                *(sys.argv[1:] if argv is None else argv)]),
         "note": args.note,
         "host": host(runs[0]["env"]) if runs else None,
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds(benchmark)),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.name}.json"

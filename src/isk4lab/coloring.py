@@ -298,19 +298,27 @@ def color_rich_square(g: Graph, s: SquareLinkStructure) -> Coloring:
 # -- structural recursion --------------------------------------------------
 
 
-class _Scope:
+class _Ids:
+    """A scope's vertices: mask in g's ids, and its vertex i is back[i]."""
+
+    def __init__(self, mask: int, back: list[int]):
+        self.mask = mask
+        self.back = back
+
+    def orig(self, vs: Iterable[int]) -> list[int]:
+        return [self.back[v] for v in vs]
+
+
+class _Scope(_Ids):
     """One instance of the recursion: h = g[mask], h-vertex i is back[i].
     A piece of a clique-cutset split keeps its parent's cutset (in g's
     ids) as `after`, the floor of its own clique-cutset search."""
 
     def __init__(self, g: Graph, mask: int,
                  after: Optional[list[int]] = None):
-        self.mask = mask
+        self.h, back = induced_subgraph(g, mask)
+        super().__init__(mask, back)
         self.after = after
-        self.h, self.back = induced_subgraph(g, mask)
-
-    def orig(self, vs: Iterable[int]) -> list[int]:
-        return [self.back[v] for v in vs]
 
     def local(self, vs: Iterable[int]) -> list[int]:
         return [self.index[v] for v in vs]
@@ -386,11 +394,13 @@ def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> tuple[dict, dict]:
 
 def _recolor(h: Graph, back: list[int], block: int, pair: tuple[int, int],
              equal: bool) -> Optional[dict[int, int]]:
-    """Cheapest colouring of h[block] with the pair relation imposed, bound 4."""
+    """Cheapest colouring of h[block] with the pair relation imposed, bound 4.
+    k starts at _first_level, as in chromatic_number_exact: the pair only
+    narrows the colourings, so none exists at the levels skipped."""
     hb, bb = induced_subgraph(h, block)
     idx = {v: i for i, v in enumerate(bb)}
     pr = (idx[pair[0]], idx[pair[1]])
-    for k in range(1, 5):
+    for k in range(_first_level(hb), 5):
         raw = _backtrack(hb, k, pair=pr, equal=equal)
         if raw is not None:
             return {back[bb[i]]: raw[i] for i in range(hb.n)}
@@ -616,17 +626,39 @@ def _recorded(steps) -> Callable:
     return pick
 
 
-def _solve(g: Graph, mask: int, depth: int, pick: Callable,
-           steps: list[TraceStep], after: Optional[list[int]] = None
-           ) -> dict[int, int]:
+# A shared piece memo is emptied when it holds this many entries.
+PIECES_BOUND = 4096
+
+
+def _solve(g: Graph, mask: int, depth: int, pick: Callable, steps: list,
+           after: Optional[list[int]] = None,
+           pieces: Optional[dict] = None) -> dict[int, int]:
     """Colour g[mask], taking each rule from pick and appending the applied
-    steps to steps in pre-order."""
+    steps to steps in pre-order, each as (ids, rule, cert, outcome): the
+    scope's _Ids, the rule, its certificate in the scope's ids and what
+    apply recorded.
+
+    With pieces, a scope below the top with more than four vertices is
+    looked up by its adjacency.  A hit re-emits the stored steps through
+    this scope's back map and returns the stored colouring; a miss stores
+    them, with vertices in this scope's ids, once the subtree succeeds.
+    The key can ignore `after`: the clique-cutset floor is exact, so the
+    whole subtree depends on h alone."""
     assert depth <= g.n, "every rule must shrink its instance"
     s = _Scope(g, mask, after)
+    key = s.h.adj if pieces is not None and depth and s.h.n > 4 else None
+    hit = pieces.get(key) if key is not None else None
+    if hit is not None:
+        canon, done = hit
+        for back, rule, cert, outcome in done:
+            back = s.orig(back)
+            steps.append((_Ids(mask_of(back), back), rule, cert, outcome))
+        return dict(zip(s.back, canon))
+    start = len(steps)
 
     def sub(m: int, after: Optional[list[int]] = None) -> dict[int, int]:
         return _solve(g, mask_of(s.orig(bits(m))), depth + 1, pick, steps,
-                      after)
+                      after, pieces)
 
     # past Trivial, colour components independently, palettes overlapping
     comps = components(s.h) if s.h.n > 4 else []
@@ -636,27 +668,45 @@ def _solve(g: Graph, mask: int, depth: int, pick: Callable,
             col.update(sub(cm))
     else:
         rule, cert = pick(s)
-        detail = rule.encode(s, cert)
-        steps.append(TraceStep(rule.name, mask, detail))
-        col, outcome = rule.apply(s, cert, sub)
-        detail.update(outcome)
+        outcome: dict = {}
+        steps.append((s, rule, cert, outcome))
+        col, done = rule.apply(s, cert, sub)
+        outcome.update(done)
     canon = _canon_list(map(col.__getitem__, s.back))
     assert max(canon, default=0) < 4
+    if key is not None:
+        if len(pieces) >= PIECES_BOUND:
+            pieces.clear()
+        pieces[key] = (canon, [(s.local(ids.back), rule, cert, outcome)
+                               for ids, rule, cert, outcome in steps[start:]])
     return dict(zip(s.back, canon))
 
 
-def structural_four_coloring(g: Graph) -> Union[tuple[Coloring, ColoringTrace],
-                                                ColoringFailure]:
+def _trace(steps: list) -> ColoringTrace:
+    """Encode the steps _solve appended, each in its own scope's ids."""
+    return ColoringTrace(tuple(
+        TraceStep(rule.name, ids.mask, {**rule.encode(ids, cert), **outcome})
+        for ids, rule, cert, outcome in steps))
+
+
+def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
+                             ) -> Union[tuple[Coloring, ColoringTrace],
+                                        ColoringFailure]:
     """Colour g with at most four colours by structural recursion.
 
     Returns (Coloring, ColoringTrace), or a ColoringFailure carrying the
     violated expectation.  The intended domain is graphs with no induced K4
     subdivision, which is assumed, not tested: a caller that wants the
     (expensive) test runs contains_isk4 first.
+
+    pieces is an optional dict that a caller shares across graphs: each
+    piece below the top with more than four vertices is then coloured once
+    while the dict holds it (see _solve), and emptied at PIECES_BOUND
+    entries.  The colouring and trace are the same with or without it.
     """
-    steps: list[TraceStep] = []
+    steps: list = []
     try:
-        col = _solve(g, g.vertex_mask, 0, _first_rule, steps)
+        col = _solve(g, g.vertex_mask, 0, _first_rule, steps, pieces=pieces)
     except _Fail as exc:
         f = exc.failure
         if f.kind == "chromatic_bound_exceeded" and contains_isk4(g) is None:
@@ -666,16 +716,19 @@ def structural_four_coloring(g: Graph) -> Union[tuple[Coloring, ColoringTrace],
         return f
     out = Coloring(tuple(col[v] for v in range(g.n)), len(set(col.values())))
     assert out.k <= 4 and out.validate(g)
-    return out, ColoringTrace(tuple(steps))
+    return out, _trace(steps)
 
 
 def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
-    """Re-run the recorded rules without searching.
+    """Re-run the recorded rules, taking each certificate from the trace
+    instead of searching for it.  An ExactFallback step re-runs the exact
+    search, and a 2-cutset step whose resolution is recolor_* re-runs the
+    pair-constrained search on the recoloured block.
 
     On the graph that produced the trace this reproduces the identical
     colouring; a trace that does not fit raises ValueError.
     """
-    steps: list[TraceStep] = []
+    steps: list = []
     try:
         col = _solve(g, g.vertex_mask, 0, _recorded(trace.steps), steps)
     except _Fail as exc:
@@ -684,7 +737,7 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
                          f"at rule {exc.failure.rule}") from exc
     # the re-encoded steps must give back the trace: this catches unused
     # steps, a wrong 2-cutset resolution and an encode/decode pair that drifts
-    if tuple(steps) != tuple(trace.steps):
+    if _trace(steps).steps != tuple(trace.steps):
         raise ValueError("trace differs from its replay")
     out = Coloring(tuple(col[v] for v in range(g.n)), len(set(col.values())))
     if not out.validate(g):

@@ -33,6 +33,11 @@ STATUSES = ("pass", "fail", "skip", "budget")
 
 _K123 = Graph.complete_multipartite((1, 2, 3))
 
+# The structural colouring's piece memo, shared by the graphs of one scan
+# in one process (see structural_four_coloring); scan_stream empties it at
+# start and end, so pool workers fork with it empty.
+_PIECES: dict = {}
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -125,7 +130,7 @@ class _ScanFacts(GraphFacts):
 
     @cached_property
     def structural(self) -> tuple[str, Optional[dict]]:
-        out = structural_four_coloring(self.g)
+        out = structural_four_coloring(self.g, pieces=_PIECES)
         if isinstance(out, ColoringFailure):
             return "fail", {
                 "kind": out.kind, "rule": out.rule, "evidence": out.evidence,
@@ -235,6 +240,7 @@ def scan_stream(lines: Iterable[str], cfg: ScanConfig) -> ScanReport:
     exception's type and message, and the scan continues."""
     start = time.perf_counter()
     items = enumerate(lines, start=1)
+    _PIECES.clear()
     if cfg.parallelism == 1:
         report = _fold(map(partial(_scan_one, cfg), items), cfg)
     else:
@@ -242,6 +248,7 @@ def scan_stream(lines: Iterable[str], cfg: ScanConfig) -> ScanReport:
             # ordered imap keeps the fold independent of worker scheduling
             report = _fold(pool.imap(partial(_scan_one, cfg), items,
                                      chunksize=64), cfg)
+    _PIECES.clear()
     report.wall_time = time.perf_counter() - start
     assert report.consistent()
     return report

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from scripts.bench_pairs import directions, main, summarize
+from scripts.bench_pairs import bounds, directions, main, summarize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,11 +57,70 @@ def test_workloads_kept_apart_and_half_pairs_not_counted():
     assert stream["change"]["median"] == 70.0
 
 
+def paired(values, p50=5.0):
+    """Runs from (parent, change) graphs_per_s values, one pair each, with
+    latency_ms_p50 fixed; the side that runs first alternates."""
+    runs = []
+    for i, (p, c) in enumerate(values):
+        sides = [("parent", p), ("change", c)]
+        for side, v in sides if i % 2 == 0 else sides[::-1]:
+            runs.append(run(side, i, result(v, p50)))
+    return runs
+
+
+BOUNDS = {"graphs_per_s": 0.25, "latency_ms_p50": 0.25}
+
+
+def gps_verdict(values):
+    return summarize(paired(values), BETTER, BOUNDS)["ladder-color"][
+        "graphs_per_s"]["verdict"]
+
+
+PARENT = [100.0 + i for i in range(10)]  # q1 102.25, q3 106.75
+
+
+@pytest.mark.parametrize("values, expected", [
+    # 10/10 and the medians 15.5 apart, the parent's q3 - q1 4.5
+    (list(zip(PARENT, [120.0] * 10)), "gain"),
+    # 10/10 but the medians only 0.8 apart
+    ([(p, p + 0.8) for p in PARENT], "within bound"),
+    # 8/10 is too few, however far apart
+    (list(zip(PARENT, [120.0] * 8 + [90.0] * 2)), "within bound"),
+    # 9/10 with one tie: ties count for neither side
+    (list(zip(PARENT, [120.0] * 9 + [109.0])), "gain"),
+    ([(100.0, 70.0)] * 4, "worse"),
+    ([(100.0, 76.0)] * 4, "within bound"),
+    # the parent's q3 - q1 is 75 at a median of 125, wider than 0.25 of it;
+    # the change loses one pair, then wins all four
+    (list(zip((50.0, 100.0, 150.0, 200.0), (120.0, 90.0, 160.0, 210.0))),
+     "unresolved"),
+    (list(zip((50.0, 100.0, 150.0, 200.0), (60.0, 110.0, 160.0, 210.0))),
+     "within bound"),
+])
+def test_verdicts(values, expected):
+    assert gps_verdict(values) == expected
+
+
+def test_verdict_follows_the_direction():
+    runs = paired([(100.0, 100.0)] * 10)
+    for r in runs:  # the change's latency halves
+        if r["side"] == "change":
+            r["result"]["metrics"]["latency_ms_p50"]["value"] = 2.5
+    s = summarize(runs, BETTER, BOUNDS)["ladder-color"]
+    assert s["latency_ms_p50"]["verdict"] == "gain"
+    assert s["graphs_per_s"]["verdict"] == "within bound"
+    assert "verdict" not in summarize(runs, BETTER)["ladder-color"][
+        "graphs_per_s"]
+
+
 def test_directions_come_from_the_benchmark():
     better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
     assert better["graphs_per_s"] == "higher"
     assert better["peak_rss_mb"] == "lower"
     assert better["decompose.find_clique_cutset.hit_ratio"] == "higher"
+    bound = bounds(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert bound["graphs_per_s"] == 0.25 and bound["peak_rss_mb"] == 0.1
+    assert "decompose.find_clique_cutset.hit_ratio" not in bound
 
 
 def test_pair_count_is_required():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +33,21 @@ from isk4lab.decompose import (
     recognize_line_graph_subcubic,
 )
 from isk4lab.graphs import Graph, bits, has_k4_minor, mask_of, parse_graph6
-from isk4lab.patterns import (contains_fixed, contains_isk4, find_maximal_k12n,
-                              find_rich_square)
+from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
+                              find_maximal_k12n, find_rich_square)
+from isk4lab.scan import enumerate_small
 
 from oracles import brute_chromatic_number, dsatur_reference, has_isk4
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import C6, K4, K33, K123, K222, PRISM6, all_graphs
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# ISK4-free graphs on 9 and 10 vertices that contain a K_{1,2,3}; the
+# recursion refuses each with a hypothesis_violation at rule 7 (ROADMAP
+# item 1)
+PAST_N7 = (r"Hy\HWzH", r"HwrTkyS", r"Hpw[QH~", r"HYENuFM", r"Iq|OaXks?",
+           r"ISaikFVXG", r"If\uGwAq?", r"IAJvLYcM?", r"I{irOQqb?")
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -527,3 +537,80 @@ class TestExhaustive:
         assert c.validate(g) and c.k <= 4
         assert set(t.rules()) <= set(RULES)
         assert replay_trace(g, t) == c
+
+
+class TestPastN7:
+    @pytest.mark.parametrize("line", PAST_N7)
+    def test_isk4_free_with_a_k123(self, line):
+        g = parse_graph6(line)
+        assert contains_isk4(g) is None and not has_isk4(g)
+        assert contains_induced(g, K123) is not None
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the recursion "
+                       "refuses these at rule 7")
+    @pytest.mark.parametrize("line", PAST_N7)
+    def test_structural_colouring(self, line):
+        g = parse_graph6(line)
+        out = structural_four_coloring(g)
+        assert isinstance(out, tuple), out
+        assert out[0].k <= 4 and out[0].validate(g)
+
+
+def test_recolor_starts_at_the_first_level(monkeypatch):
+    calls = []
+
+    def counted(h, k, pair=None, equal=False):
+        calls.append((k, _first_level(h), pair is not None))
+        return _backtrack(h, k, pair=pair, equal=equal)
+
+    monkeypatch.setattr(coloring, "_backtrack", counted)
+    for line in ("F]rE?", "FMjE?"):
+        _, t = pipeline_ok(parse_graph6(line))
+        assert t.steps[0].detail["resolution"].startswith("recolor_")
+    assert any(paired for _, _, paired in calls)
+    assert all(k >= first for k, first, _ in calls)
+
+
+def memo_parity(lines, pieces):
+    """structural_four_coloring with the shared dict gives what it gives
+    without, and every trace it builds replays."""
+    for line in lines:
+        g = parse_graph6(line)
+        out = structural_four_coloring(g, pieces=pieces)
+        assert out == structural_four_coloring(g), line
+        if isinstance(out, tuple):
+            assert replay_trace(g, out[1]) == out[0], line
+
+
+class TestPieceMemo:
+    fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()[:2000]
+
+    def test_universe_parity(self):
+        pieces = {}
+        memo_parity([x for n in range(1, 7) for x in enumerate_small(n)],
+                    pieces)
+        assert 0 < len(pieces) <= coloring.PIECES_BOUND
+
+    def test_fixture_and_past_n7_parity(self):
+        memo_parity(self.fixture + list(PAST_N7), {})
+
+    def test_bounded(self, monkeypatch):
+        class Sized(dict):
+            most = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                Sized.most = max(Sized.most, len(self))
+
+        monkeypatch.setattr(coloring, "PIECES_BOUND", 8)
+        pieces = Sized()
+        memo_parity(self.fixture[:500] + list(PAST_N7), pieces)
+        assert Sized.most == 8
+
+    def test_top_and_small_pieces_not_stored(self):
+        pieces = {}
+        for g in (K123, HOST124, C6, parse_graph6("F]rE?")):
+            structural_four_coloring(g, pieces=pieces)
+        # HOST124's peel leaves a 6-vertex piece and F]rE?'s larger 2-cutset
+        # block has 5 vertices; every other scope is a top or has at most 4
+        assert sorted(len(key) for key in pieces) == [5, 6]

@@ -262,9 +262,9 @@ class TestColourOnce:
             calls["exact"] += 1
             return exact(g, bound)
 
-        def counted_structural(g):
+        def counted_structural(g, pieces=None):
             calls["structural"] += 1
-            out = structural(g)
+            out = structural(g, pieces=pieces)
             return out if plant is None else plant(g, out)
 
         monkeypatch.setattr(scan, "chromatic_number_exact", counted_exact)
@@ -278,6 +278,23 @@ class TestColourOnce:
         assert tot["checks"]["STRUCTURAL-COLOR"]["fail"] == 0
         assert tot["checks"]["CHI-LE-4"]["pass"] == tot["isk4_free"] > 300
         assert calls == {"structural": tot["isk4_free"]}
+
+    def test_one_piece_memo_per_scan(self, monkeypatch):
+        seen = []
+        structural = scan.structural_four_coloring
+
+        def recorded(g, pieces=None):
+            seen.append((pieces, len(pieces)))
+            return structural(g, pieces=pieces)
+
+        monkeypatch.setattr(scan, "structural_four_coloring", recorded)
+        scan._PIECES[("stale",)] = None
+        fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
+        run(fixture[:300], checks=COLOUR_BOTH)
+        assert len(seen) > 100 and seen[0][1] == 0  # emptied at the start
+        assert all(p is scan._PIECES for p, _ in seen)
+        assert max(size for _, size in seen) > 0
+        assert scan._PIECES == {}  # and at the end
 
     def test_failed_colouring_falls_back_to_exact(self, monkeypatch):
         target = self.target
