@@ -16,7 +16,8 @@ src bench``, the code the runs use (once committed, the same hash comes from
 (q1, median, q3, inclusive method), the change's median over the parent's,
 and in how many pairs the change read better, ties counting for neither;
 which direction is better comes from BENCHMARK.json.  A metric with a
-bound in BENCHMARK.json also gets a verdict (see ``verdict``).
+bound in BENCHMARK.json also gets a verdict (see ``verdict``).  The file
+also records each side's line count of src/**/*.py (``src_lines``).
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ def working_tree() -> str:
     return f"{head}+src-bench-diff-sha256:{hashlib.sha256(diff).hexdigest()}"
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of src/**/*.py under the tree, counted as wc -l does."""
+    return sum(f.read_bytes().count(b"\n")
+               for f in (tree / "src").rglob("*.py"))
+
+
 def extract(rev: str, into: Path) -> str:
     """Unpack the files of rev into the directory; return its commit."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
@@ -185,6 +192,7 @@ def main(argv=None) -> int:
         sha = extract(args.rev, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
         shas = {"parent": sha, "change": working_tree()}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, count in plan:
             for pair in range(count):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -205,6 +213,7 @@ def main(argv=None) -> int:
                                *(sys.argv[1:] if argv is None else argv)]),
         "note": args.note,
         "host": host(runs[0]["env"]) if runs else None,
+        "src_lines": lines,
         "summary": summarize(runs, better, bounds(benchmark)),
         "runs": runs,
     }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -87,7 +88,10 @@ def _read_source(source: str) -> str:
 
 
 def _load_graph(source: str, fmt: str) -> Graph:
-    text = _read_source(source)
+    try:
+        text = _read_source(source)
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read input: {exc}") from None
     try:
         if fmt == "edgelist":
             return parse_edge_list(text)
@@ -215,11 +219,14 @@ def _cmd_scan(args) -> int:
                          budget=ScanConfig.budget if budget is None else budget)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
+    # an undecodable byte becomes U+FFFD, so its line is a parse failure
     if args.input == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(errors="replace")
         report = scan_stream(sys.stdin, cfg)
     else:
         try:
-            with open(args.input) as fh:
+            with open(args.input, errors="replace") as fh:
                 report = scan_stream(fh, cfg)
         except OSError as exc:
             raise _CliError(str(exc)) from None

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations, dropwhile
 from typing import Iterable, Optional
 
-from .graphs import Graph, bits, chain, components, is_clique, is_connected, mask_of
+from .graphs import (Graph, bits, chain, components, is_clique, is_connected,
+                     is_hole, mask_of)
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,6 @@ def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
     return walk[-1] == b and len(walk) == sub.bit_count() - 1
 
 
-def _is_hole(g: Graph) -> bool:
-    """Is g a chordless cycle on at least four vertices: connected, every
-    vertex of degree 2?  Two disjoint cycles are not one, and they do have
-    both kinds of cutset."""
-    return g.n >= 4 and all(row.bit_count() == 2 for row in g.adj) \
-        and is_connected(g)
-
-
 def _small_cliques(g: Graph):
     """Cliques of at most three vertices as sorted tuples, in the order
     find_clique_cutset tries them."""
@@ -110,9 +103,9 @@ def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
     connected), and removing one vertex or the two ends of one edge leaves
     a path.
     """
-    if _is_hole(g):
-        return None
     full = g.vertex_mask
+    if is_hole(g, full):
+        return None
     cands: Iterable[tuple[int, ...]] = _small_cliques(g)
     if after is not None:
         floor = tuple(sorted(after))
@@ -134,7 +127,7 @@ def find_proper_2cutset(g: Graph) -> Optional[Proper2Cutset]:
     from a to b as the only two components, so the only grouping puts one
     arc on each side, and each arc with {a,b} induces an (a,b)-path.
     """
-    if _is_hole(g):
+    if is_hole(g, g.vertex_mask):
         return None
     for a, b in combinations(range(g.n), 2):
         if g.has_edge(a, b):

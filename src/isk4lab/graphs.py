@@ -9,6 +9,7 @@ graph6 I/O is short form only (n <= 62, no header, one graph per line).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 GRAPH6_MAX_N = 62
@@ -39,17 +40,20 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """Immutable simple undirected graph.
 
-    adj[v] is the neighbour bitmask of v.  Construction validates symmetry,
-    irreflexivity and that no bits beyond n-1 are set.
+    adj[v] is the neighbour bitmask of v.  Construction takes any iterable
+    of rows, stores it as a tuple and validates symmetry, irreflexivity and
+    that no bits beyond n-1 are set.  Equality and hashing go by (n, adj).
     """
 
-    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[int, ...]
 
-    def __init__(self, n: int, adj: Iterable[int]):
-        adj = tuple(adj)
+    def __post_init__(self):
+        n, adj = self.n, tuple(self.adj)
         if n < 0 or len(adj) != n:
             raise ValueError(f"adjacency length {len(adj)} != n={n}")
         full = (1 << n) - 1
@@ -62,26 +66,20 @@ class Graph:
             for u in bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
-        self._set(n, adj)
-
-    def _set(self, n: int, adj: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
     @classmethod
     def _trusted(cls, n: int, adj: Iterable[int]) -> "Graph":
-        """Build without __init__'s checks, for callers whose adjacency is
-        symmetric, loop-free and in range by construction."""
+        """Build without __post_init__'s checks, for callers whose adjacency
+        is symmetric, loop-free and in range by construction."""
         g = object.__new__(cls)
-        g._set(n, tuple(adj))
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(adj))
         return g
-
-    def __setattr__(self, *args):
-        raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild through the checking constructor, not by
-        # writing slots, which __setattr__ refuses
+        # restoring slots, which would skip the checks
         return Graph, (self.n, self.adj)
 
     # -- constructors ------------------------------------------------------
@@ -173,12 +171,6 @@ class Graph:
         for v in range(self.n):
             adj[perm[v]] = mask_of(perm[u] for u in bits(self.adj[v]))
         return Graph(self.n, adj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -302,6 +294,14 @@ def chain(g: Graph, mask: int, prev: int, cur: int) -> list[int]:
         prev, cur = cur, (g.adj[cur] & mask & ~(1 << prev)).bit_length() - 1
         walk.append(cur)
     return walk
+
+
+def is_hole(g: Graph, mask: int) -> bool:
+    """Is g[mask] a chordless cycle on at least four vertices: every vertex
+    of degree 2 in g[mask], and connected?  Two disjoint cycles are not one."""
+    return mask.bit_count() >= 4 \
+        and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)) \
+        and is_connected(g, mask)
 
 
 def has_k4_minor(g: Graph) -> bool:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .graphs import (Graph, bits, chain, components, has_k4_minor, induced_subgraph,
-                     is_clique, is_connected, mask_of)
+                     is_clique, is_connected, is_hole, mask_of)
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,7 @@ def is_prism(g: Graph, mask: int) -> bool:
 def _is_wheel(g: Graph, mask: int) -> bool:
     for h in bits(mask):
         rest = mask & ~(1 << h)
-        if rest.bit_count() < 4 or (g.adj[h] & rest).bit_count() < 3:
-            continue
-        if all((g.adj[v] & rest).bit_count() == 2 for v in bits(rest)) and \
-                is_connected(g, rest):
+        if (g.adj[h] & rest).bit_count() >= 3 and is_hole(g, rest):
             return True
     return False
 

@@ -241,14 +241,16 @@ def scan_stream(lines: Iterable[str], cfg: ScanConfig) -> ScanReport:
     start = time.perf_counter()
     items = enumerate(lines, start=1)
     _PIECES.clear()
-    if cfg.parallelism == 1:
-        report = _fold(map(partial(_scan_one, cfg), items), cfg)
-    else:
-        with Pool(cfg.parallelism) as pool:
-            # ordered imap keeps the fold independent of worker scheduling
-            report = _fold(pool.imap(partial(_scan_one, cfg), items,
-                                     chunksize=64), cfg)
-    _PIECES.clear()
+    try:
+        if cfg.parallelism == 1:
+            report = _fold(map(partial(_scan_one, cfg), items), cfg)
+        else:
+            with Pool(cfg.parallelism) as pool:
+                # ordered imap keeps the fold independent of worker scheduling
+                report = _fold(pool.imap(partial(_scan_one, cfg), items,
+                                         chunksize=64), cfg)
+    finally:
+        _PIECES.clear()
     report.wall_time = time.perf_counter() - start
     assert report.consistent()
     return report

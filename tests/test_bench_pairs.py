@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from scripts.bench_pairs import bounds, directions, main, summarize
+from scripts.bench_pairs import bounds, directions, main, src_lines, summarize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,3 +127,13 @@ def test_pair_count_is_required():
     with pytest.raises(SystemExit):
         main(["--rev", "HEAD", "--name", "unused", "--seed", "1",
               "--seconds", "1", "--workload", "ladder-color"])
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("z = 3\n\n\n")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("not counted\n")
+    assert src_lines(tmp_path) == 5

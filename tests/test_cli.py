@@ -119,6 +119,12 @@ class TestDetect:
         assert main(["detect", "--pattern", "isk4", "!!nope!!"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_undecodable_input_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"\xff\n")
+        assert main(["detect", "--pattern", "isk4", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read input:")
+
 
 class TestColor:
     def test_exact_k4(self, capsys):
@@ -261,6 +267,20 @@ class TestScanCommand:
         code, doc = run(capsys, "scan", "--checks", "ISK4-FILTER")
         assert code == 4
         assert doc["totals"]["parse_failures"] == 1
+
+    def test_undecodable_line_is_a_parse_failure(self, capsys, monkeypatch,
+                                                 tmp_path):
+        data = b"C~\n\xff\xfe\nBw\n"
+        path = tmp_path / "mixed.g6"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        for source in (str(path), "-"):
+            code, doc = run(capsys, "scan", "--checks", "ISK4-FILTER", source)
+            assert code == 4
+            assert doc["totals"]["parse_failures"] == 1
+            assert doc["totals"]["read"] == 2
+            assert doc["failures"][0]["line_no"] == 2
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def broken(g):

@@ -4,7 +4,7 @@ import networkx as nx
 from hypothesis import given, settings
 
 import oracles
-from isk4lab import decompose
+from isk4lab import decompose, graphs
 from isk4lab.decompose import (
     CliqueCutset,
     MultipartiteCert,
@@ -173,19 +173,20 @@ class TestHoleGate:
     a connected one."""
 
     def test_cycles_have_neither_cutset_and_search_no_candidate(self, monkeypatch):
-        # C_4..C_40: one connectivity test per call for the gate, none for
-        # a candidate
+        # C_4..C_40: one connectivity test per call for the gate, which
+        # graphs.is_hole makes, and none for a candidate
         calls = []
-        for name in ("is_connected", "components"):
-            real = getattr(decompose, name)
-            monkeypatch.setattr(decompose, name, lambda *a, real=real, name=name:
-                                calls.append(name) or real(*a))
+        for module, name in ((graphs, "is_connected"), (decompose, "is_connected"),
+                             (decompose, "components")):
+            real, tag = getattr(module, name), f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, lambda *a, real=real, tag=tag:
+                                calls.append(tag) or real(*a))
         for n in range(4, 41):
             g = Graph.cycle(n)
             assert find_clique_cutset(g) is None
             assert find_clique_cutset(g, after=(0,)) is None
             assert find_proper_2cutset(g) is None
-            assert calls == ["is_connected"] * 3, n
+            assert calls == ["isk4lab.graphs.is_connected"] * 3, n
             calls.clear()
 
     def test_two_disjoint_cycles_keep_their_cutsets(self):

@@ -296,6 +296,17 @@ class TestColourOnce:
         assert max(size for _, size in seen) > 0
         assert scan._PIECES == {}  # and at the end
 
+    def test_a_raising_scan_still_empties_the_memo(self):
+        fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
+
+        def lines():
+            yield from fixture[:300]
+            raise OSError("planted read error")
+
+        with pytest.raises(OSError, match="planted"):
+            run(lines(), checks=COLOUR_BOTH, parallelism=1)
+        assert scan._PIECES == {}
+
     def test_failed_colouring_falls_back_to_exact(self, monkeypatch):
         target = self.target
 
