@@ -22,7 +22,6 @@ import sys
 from typing import Optional
 
 from .coloring import (
-    BoundExceeded,
     ColoringFailure,
     ColoringTrace,
     chromatic_number_exact,
@@ -90,7 +89,7 @@ def _read_source(source: str) -> str:
 def _load_graph(source: str, fmt: str) -> Graph:
     try:
         text = _read_source(source)
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read input: {exc}") from None
     try:
         if fmt == "edgelist":
@@ -151,16 +150,14 @@ def _cmd_color(args) -> int:
         bound = args.bound
         if bound is not None and bound < 0:
             raise _CliError("--bound cannot be negative")
-        res = chromatic_number_exact(g, bound)
-        if isinstance(res, BoundExceeded):
+        col = chromatic_number_exact(g, bound)
+        if col is None:
             conj = bound is not None and bound >= 4 \
                 and contains_isk4(g) is None
             _emit(args, {"mode": "exact", "bound_exceeded": True,
-                         "bound": res.bound,
-                         "conjecture_counterexample": conj})
+                         "bound": bound, "conjecture_counterexample": conj})
             return EXIT_BOUND
-        k, col = res
-        _emit(args, {"mode": "exact", "k": k, "colors": list(col.color),
+        _emit(args, {"mode": "exact", "k": col.k, "colors": list(col.color),
                      "trace": []})
         return EXIT_OK
     out = structural_four_coloring(g)

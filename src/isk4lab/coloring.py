@@ -30,8 +30,7 @@ from .decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from .graphs import (Graph, attachment, bits, components, has_k4_minor,
-                     induced_subgraph, mask_of)
+from .graphs import Graph, bits, components, has_k4_minor, induced_subgraph, mask_of
 from .patterns import (
     K12nEmbedding,
     SquareLink,
@@ -40,6 +39,7 @@ from .patterns import (
     contains_isk4,
     find_maximal_k12n,
     find_rich_square,
+    off_components,
 )
 
 
@@ -60,13 +60,6 @@ class Coloring:
         for v, c in enumerate(self.color):
             cls[c] |= 1 << v
         return all(not g.adj[v] & cls[c] for v, c in enumerate(self.color))
-
-
-@dataclass(frozen=True)
-class BoundExceeded:
-    """Every colouring needs more colours than the requested bound."""
-
-    bound: int
 
 
 @dataclass(frozen=True)
@@ -182,6 +175,12 @@ def _canon_list(colors: Iterable[int]) -> list[int]:
     return [ren.setdefault(c, len(ren)) for c in colors]
 
 
+def _coloring(colors: Iterable[int]) -> Coloring:
+    """The colouring renumbered by first occurrence; k is the count used."""
+    col = _canon_list(colors)
+    return Coloring(tuple(col), max(col, default=-1) + 1)
+
+
 def _first_level(g: Graph) -> int:
     """A lower bound on the chromatic number: 0 with no vertex, 1 with no
     edge, 2 for a bipartite graph, else 3.  Breadth-first layers from the
@@ -204,26 +203,29 @@ def _first_level(g: Graph) -> int:
     return 2
 
 
-def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
-                           ) -> Union[tuple[int, Coloring], BoundExceeded]:
-    """Minimum colour count by iterative deepening on k.
-
-    k starts at _first_level(g), a lower bound on the chromatic number: the
-    levels skipped have no colouring, so the first colouring found is the
-    same.
-
-    With upper_bound set, a graph needing more colours yields
-    BoundExceeded(upper_bound) instead of a colouring.
-    """
-    hi = g.n if upper_bound is None else min(upper_bound, g.n)
-    for k in range(_first_level(g), hi + 1):
-        raw = _backtrack(g, k)
+def _least(h: Graph, hi: int, pair: Optional[tuple[int, int]] = None,
+           equal: bool = False) -> Optional[list[int]]:
+    """Iterative deepening: the first _backtrack colouring for k =
+    _first_level(h) .. hi, or None.  The levels skipped have no colouring
+    (a pair constraint only narrows the colourings), so the first colouring
+    found is the same."""
+    for k in range(_first_level(h), hi + 1):
+        raw = _backtrack(h, k, pair=pair, equal=equal)
         if raw is not None:
-            out = Coloring(tuple(_canon_list(raw)), k)
-            assert out.validate(g)
-            return k, out
-    assert upper_bound is not None
-    return BoundExceeded(upper_bound)
+            return raw
+    return None
+
+
+def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
+                           ) -> Optional[Coloring]:
+    """A colouring with the fewest colours (its k is the chromatic number),
+    or None when upper_bound is set and every colouring needs more."""
+    raw = _least(g, g.n if upper_bound is None else min(upper_bound, g.n))
+    if raw is None:
+        return None
+    out = _coloring(raw)
+    assert out.validate(g)
+    return out
 
 
 # -- leaf colourers --------------------------------------------------------
@@ -243,35 +245,30 @@ def color_complete_multipartite(cert: MultipartiteCert) -> Coloring:
 
 
 def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
-    """Properly 4-edge-colour the subcubic root and pull the colours back
-    through the edge map; vertices of g sharing a root endpoint differ."""
-    redges = cert.root.edges()
-    m = len(redges)
-    incident: list[list[int]] = [[] for _ in range(cert.root.n)]
-    for i, (u, v) in enumerate(redges):
-        incident[u].append(i)
-        incident[v].append(i)
-    ecol = [-1] * m
+    """4-edge-colour the subcubic root, searching on g itself: two root
+    edges meet iff their g-vertices are adjacent.  The vertices go in the
+    order of their root edges, each taking the least colour below
+    min(4, used + 1) that no coloured neighbour has."""
+    order = sorted(range(g.n), key=cert.edge_of.__getitem__)
+    col = [-1] * g.n
 
     def go(i: int, used: int) -> bool:
-        if i == m:
+        if i == g.n:
             return True
-        u, v = redges[i]
-        banned = {ecol[j] for j in incident[u] + incident[v] if ecol[j] >= 0}
+        v = order[i]
+        banned = {col[u] for u in bits(g.adj[v])}
         for c in range(min(4, used + 1)):
             if c in banned:
                 continue
-            ecol[i] = c
+            col[v] = c
             if go(i + 1, used + (c == used)):
                 return True
-            ecol[i] = -1
+            col[v] = -1
         return False
 
     # max degree 3 guarantees a 4-edge-colouring exists
     assert go(0, 0), "subcubic root failed to 4-edge-colour"
-    at = {e: ecol[i] for i, e in enumerate(redges)}
-    col = _canon_list([at[e] for e in cert.edge_of])
-    out = Coloring(tuple(col), len(set(col)))
+    out = _coloring(col)
     assert out.validate(g)
     return out
 
@@ -394,17 +391,10 @@ def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> tuple[dict, dict]:
 
 def _recolor(h: Graph, back: list[int], block: int, pair: tuple[int, int],
              equal: bool) -> Optional[dict[int, int]]:
-    """Cheapest colouring of h[block] with the pair relation imposed, bound 4.
-    k starts at _first_level, as in chromatic_number_exact: the pair only
-    narrows the colourings, so none exists at the levels skipped."""
+    """Cheapest colouring of h[block] with the pair relation imposed, bound 4."""
     hb, bb = induced_subgraph(h, block)
-    idx = {v: i for i, v in enumerate(bb)}
-    pr = (idx[pair[0]], idx[pair[1]])
-    for k in range(_first_level(hb), 5):
-        raw = _backtrack(hb, k, pair=pr, equal=equal)
-        if raw is not None:
-            return {back[bb[i]]: raw[i] for i in range(hb.n)}
-    return None
+    raw = _least(hb, 4, (bb.index(pair[0]), bb.index(pair[1])), equal)
+    return None if raw is None else {back[v]: c for v, c in zip(bb, raw)}
 
 
 def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
@@ -470,10 +460,8 @@ def _whole_rich_square(s: _Scope) -> Optional[SquareLinkStructure]:
 def _stray(h: Graph, emb: K12nEmbedding) -> Optional[tuple[int, int]]:
     """First component outside the embedding that does not attach exactly at
     {a} ∪ b, with its attachment; None when every component does."""
-    hm = emb.vertex_mask()
     need = 1 << emb.a | mask_of(emb.b)
-    for cm in components(h, h.vertex_mask & ~hm):
-        att = attachment(h, hm, cm)
+    for cm, att in off_components(h, emb):
         if att != need:
             return cm, att
     return None
@@ -508,11 +496,11 @@ def _peel(s: _Scope, emb: K12nEmbedding, sub) -> tuple[dict, dict]:
 
 
 def _exact(s: _Scope) -> Coloring:
-    res = chromatic_number_exact(s.h, 4)
-    if isinstance(res, BoundExceeded):
+    col = chromatic_number_exact(s.h, 4)
+    if col is None:
         raise _Fail("chromatic_bound_exceeded", 8, s.mask,
                     {"bound": 4, "vertices": sorted(s.back)})
-    return res[1]
+    return col
 
 
 # One entry per trace rule, in proof order.  find(s) gives a certificate in
@@ -714,7 +702,7 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
                 **f.evidence, "note": "needs five colours yet has no induced "
                                       "K4 subdivision: counterexample candidate"})
         return f
-    out = Coloring(tuple(col[v] for v in range(g.n)), len(set(col.values())))
+    out = _coloring(col[v] for v in range(g.n))
     assert out.k <= 4 and out.validate(g)
     return out, _trace(steps)
 
@@ -739,7 +727,7 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     # steps, a wrong 2-cutset resolution and an encode/decode pair that drifts
     if _trace(steps).steps != tuple(trace.steps):
         raise ValueError("trace differs from its replay")
-    out = Coloring(tuple(col[v] for v in range(g.n)), len(set(col.values())))
+    out = _coloring(col[v] for v in range(g.n))
     if not out.validate(g):
         raise ValueError("replayed colouring is not proper")
     return out

@@ -268,13 +268,12 @@ def is_induced_path(g: Graph, vertices: tuple[int, ...] | list[int]) -> bool:
 
 
 def is_induced_cycle(g: Graph, vertices: tuple[int, ...] | list[int]) -> bool:
-    """Cyclic sequence of length >= 3: consecutive (mod k) adjacent, no chords.
-
-    Every pair but (first, last) lies on the path without the last vertex or
-    on the path without the first, and that pair must be an edge.
-    """
-    return len(vertices) >= 3 and g.has_edge(vertices[0], vertices[-1]) \
-        and is_induced_path(g, vertices[:-1]) and is_induced_path(g, vertices[1:])
+    """At least 3 distinct vertices in cyclic order, each seeing exactly its
+    two cyclic neighbours among them: consecutive adjacent, no chords."""
+    k, vs = len(vertices), mask_of(vertices)
+    return k >= 3 and vs.bit_count() == k and all(
+        g.adj[v] & vs == 1 << vertices[i - 1] | 1 << vertices[(i + 1) % k]
+        for i, v in enumerate(vertices))
 
 
 def is_clique(g: Graph, mask: int) -> bool:

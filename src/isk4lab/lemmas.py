@@ -26,14 +26,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import (Graph, attachment, bits, components, is_clique, is_induced_cycle,
-                     is_induced_path, mask_of)
+from .graphs import Graph, bits, is_clique, is_induced_cycle, is_induced_path, mask_of
 from .patterns import (
     K12nEmbedding,
     PatternWitness,
     contains_fixed,
     contains_isk4,
     iter_maximal_k12n,
+    off_components,
 )
 
 
@@ -143,37 +143,26 @@ def is_linked(g: Graph, cycle: tuple[int, ...], v: int) -> Optional[LinkWitness]
 
 @dataclass(frozen=True)
 class AttachmentClass:
-    """Shape of N(v) ∩ V(H): empty, one_vertex, one_edge or other."""
-
-    tag: str
-    witness: tuple[int, ...]
-
-    def consistent(self, g: Graph) -> bool:
-        w = self.witness
-        return {
-            "empty": len(w) == 0,
-            "one_vertex": len(w) == 1,
-            "one_edge": len(w) == 2 and g.has_edge(*w),
-            "other": True,
-        }.get(self.tag, False)
-
-
-@dataclass(frozen=True)
-class ComponentAttachmentClass:
-    """Shape of N(comp) ∩ V(H): empty, clique, a1a2 (= {a,b_1,b_2}) or other."""
+    """Shape of what a vertex or a component outside H sees of V(H): empty,
+    one_vertex or one_edge (for a vertex), clique or a1a2 (= {a,b_1,b_2},
+    for a component), or other."""
 
     tag: str
     witness: tuple[int, ...]
 
     def consistent(self, g: Graph, h: K12nEmbedding) -> bool:
-        w = self.witness
-        if self.tag == "empty":
+        w, tag = self.witness, self.tag
+        if tag == "empty":
             return len(w) == 0
-        if self.tag == "clique":
+        if tag == "one_vertex":
+            return len(w) == 1
+        if tag == "one_edge":
+            return len(w) == 2 and g.has_edge(*w)
+        if tag == "clique":
             return is_clique(g, mask_of(w))
-        if self.tag == "a1a2":
+        if tag == "a1a2":
             return set(w) == {h.a, *h.b}
-        return self.tag == "other"
+        return tag == "other"
 
 
 def classify_vertex_attachment(g: Graph, h: K12nEmbedding, v: int) -> AttachmentClass:
@@ -190,23 +179,26 @@ def classify_vertex_attachment(g: Graph, h: K12nEmbedding, v: int) -> Attachment
     return AttachmentClass("other", att)
 
 
-def classify_component_attachment(
-    g: Graph, h: K12nEmbedding, comp: int
-) -> ComponentAttachmentClass:
-    hmask = h.vertex_mask()
+def _component_class(g: Graph, h: K12nEmbedding, att: int) -> AttachmentClass:
+    """The class of a component of g - V(H) whose attachment is att."""
+    w = tuple(bits(att))
+    if not w:
+        return AttachmentClass("empty", w)
+    if is_clique(g, att):
+        return AttachmentClass("clique", w)
+    if att == 1 << h.a | mask_of(h.b):
+        return AttachmentClass("a1a2", w)
+    return AttachmentClass("other", w)
+
+
+def classify_component_attachment(g: Graph, h: K12nEmbedding,
+                                  comp: int) -> AttachmentClass:
     if not h.validate(g) or h.n < 3:
         raise ValueError("need a valid embedding with n >= 3")
-    if comp not in components(g, g.vertex_mask & ~hmask):
+    att = dict(off_components(g, h)).get(comp)
+    if att is None:
         raise ValueError("comp is not a component of g - V(H)")
-    am = attachment(g, hmask, comp)
-    att = tuple(bits(am))
-    if not att:
-        return ComponentAttachmentClass("empty", att)
-    if is_clique(g, am):
-        return ComponentAttachmentClass("clique", att)
-    if set(att) == {h.a, *h.b}:
-        return ComponentAttachmentClass("a1a2", att)
-    return ComponentAttachmentClass("other", att)
+    return _component_class(g, h, att)
 
 
 # -- whole-graph lemma verification ----------------------------------------
@@ -321,8 +313,8 @@ def _comp(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
 
     def instances():
         for h in hosts:
-            for comp in components(g, g.vertex_mask & ~h.vertex_mask()):
-                att = classify_component_attachment(g, h, comp)
+            for comp, am in off_components(g, h):
+                att = _component_class(g, h, am)
                 yield None if att.tag != "other" else \
                     {"embedding": (h.a, h.b, h.c),
                      "component": tuple(bits(comp)),

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .graphs import (Graph, bits, chain, components, has_k4_minor, induced_subgraph,
-                     is_clique, is_connected, is_hole, mask_of)
+from .graphs import (Graph, attachment, bits, chain, components, has_k4_minor,
+                     induced_subgraph, is_clique, is_connected, is_hole, mask_of)
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,15 @@ def contains_induced(g: Graph, pattern: Graph) -> Optional[PatternWitness]:
     def place(i: int, used: int) -> bool:
         if i == k:
             return True
+        # h fits iff the placed vertices it sees are the images of i's
+        # earlier pattern neighbours
+        need = mask_of(image[j] for j in bits(pattern.adj[i] & ((1 << i) - 1)))
         for h in range(g.n):
             if used >> h & 1:
                 continue
             if g.degree(h) < pattern.degree(i):
                 continue
-            if all(
-                g.has_edge(image[j], h) == pattern.has_edge(j, i)
-                for j in range(i)
-            ):
+            if g.adj[h] & used == need:
                 image[i] = h
                 if place(i + 1, used | 1 << h):
                     return True
@@ -292,6 +292,13 @@ def _maximal_csides(g, a, b, cset, n_min) -> Iterator[K12nEmbedding]:
 def find_maximal_k12n(g: Graph, n_min: int) -> Optional[K12nEmbedding]:
     """Least maximal K_{1,2,n} embedding with n >= n_min, or None."""
     return next(iter_maximal_k12n(g, n_min), None)
+
+
+def off_components(g: Graph, emb: K12nEmbedding) -> list[tuple[int, int]]:
+    """The components of g - V(emb) as masks, ordered by least vertex, each
+    with its attachment: the mask of emb's vertices it sees."""
+    hm = emb.vertex_mask()
+    return [(cm, attachment(g, hm, cm)) for cm in components(g, g.vertex_mask & ~hm)]
 
 
 # -- squares and links -----------------------------------------------------

@@ -18,12 +18,7 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
 from . import __version__
-from .coloring import (
-    BoundExceeded,
-    ColoringFailure,
-    chromatic_number_exact,
-    structural_four_coloring,
-)
+from .coloring import ColoringFailure, chromatic_number_exact, structural_four_coloring
 from .graphs import Graph, GraphFormatError, code_to_graph6, is_connected, parse_graph6
 from .lemmas import LEMMA_IDS, GraphFacts, check_lemma
 from .patterns import contains_induced, contains_isk4
@@ -38,13 +33,15 @@ _K123 = Graph.complete_multipartite((1, 2, 3))
 # start and end, so pool workers fork with it empty.
 _PIECES: dict = {}
 
+# A report keeps this many failure witnesses per check and counts the rest.
+WITNESS_CAP = 100
+
 
 @dataclass(frozen=True)
 class ScanConfig:
     checks: tuple[str, ...]
     budget: int = 20000
     parallelism: int = 1
-    witness_cap: int = 100
 
     def __post_init__(self):
         object.__setattr__(self, "checks", tuple(sorted(set(self.checks))))
@@ -57,8 +54,6 @@ class ScanConfig:
             raise ValueError("budget must be positive")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if self.witness_cap < 0:
-            raise ValueError("witness cap cannot be negative")
 
 
 def _blank_counters(checks: tuple[str, ...]) -> dict:
@@ -100,7 +95,7 @@ class ScanReport:
         kept: dict[str, int] = {}
         for w in self.failures:
             kept[w["check"]] = kept.get(w["check"], 0) + 1
-        if any(v > self.config.witness_cap for v in kept.values()):
+        if any(v > WITNESS_CAP for v in kept.values()):
             return False
         tot = self.totals()
         recorded = kept.copy()
@@ -117,7 +112,7 @@ class ScanReport:
             "meta": {"version": __version__,
                      "checks": list(self.config.checks),
                      "budget": self.config.budget,
-                     "witness_cap": self.config.witness_cap},
+                     "witness_cap": WITNESS_CAP},
             "per_n": [dict(n=n, **self.per_n[n]) for n in sorted(self.per_n)],
             "failures": self.failures,
             "totals": self.totals(),
@@ -153,8 +148,7 @@ def _run_check(name: str, facts: _ScanFacts, cfg: ScanConfig
         # a colouring that passed STRUCTURAL-COLOR certifies chi <= 4
         if "STRUCTURAL-COLOR" in cfg.checks and facts.structural[0] == "pass":
             return "pass", None
-        res = chromatic_number_exact(facts.g, 4)
-        if isinstance(res, BoundExceeded):
+        if chromatic_number_exact(facts.g, 4) is None:
             return "fail", {"reason": "chromatic number exceeds four",
                             "bound": 4}
         return "pass", None
@@ -200,7 +194,7 @@ def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:
     kept: dict[str, int] = {}
 
     def witness(check: str, entry: dict):
-        if kept.get(check, 0) < cfg.witness_cap:
+        if kept.get(check, 0) < WITNESS_CAP:
             kept[check] = kept.get(check, 0) + 1
             report.failures.append(entry)
         else:

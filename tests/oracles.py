@@ -10,6 +10,8 @@ from itertools import combinations
 
 import networkx as nx
 
+from isk4lab.graphs import is_induced_path
+
 
 def to_nx(g):
     h = nx.Graph()
@@ -315,3 +317,69 @@ def dsatur_reference(g, k, pair=None, equal=False):
         return False
 
     return col if go(0, 0) else None
+
+
+# -- the pairwise and root-edge forms of rewritten kernels -----------------
+
+
+def root_edge_coloring(g, cert):
+    """color_subcubic_line_graph's search run on the root: colour its edges
+    in sorted order, each the least colour below min(4, used + 1) that no
+    edge sharing an end has, and pull the colours back through
+    cert.edge_of, renumbered by first occurrence."""
+    redges = cert.root.edges()
+    incident = [[] for _ in range(cert.root.n)]
+    for i, (u, v) in enumerate(redges):
+        incident[u].append(i)
+        incident[v].append(i)
+    ecol = [-1] * len(redges)
+
+    def go(i, used):
+        if i == len(redges):
+            return True
+        u, v = redges[i]
+        banned = {ecol[j] for j in incident[u] + incident[v] if ecol[j] >= 0}
+        for c in range(min(4, used + 1)):
+            if c in banned:
+                continue
+            ecol[i] = c
+            if go(i + 1, used + (c == used)):
+                return True
+            ecol[i] = -1
+        return False
+
+    assert go(0, 0)
+    at = dict(zip(redges, ecol))
+    ren = {}
+    return [ren.setdefault(at[e], len(ren)) for e in cert.edge_of]
+
+
+def is_induced_cycle_two_paths(g, vertices):
+    """At least three vertices, first and last adjacent, and both the
+    sequence without its last vertex and without its first induced paths
+    (graphs.is_induced_path compares the pairs one at a time): every pair
+    but (first, last) lies on one of the two."""
+    return len(vertices) >= 3 and g.has_edge(vertices[0], vertices[-1]) \
+        and is_induced_path(g, vertices[:-1]) and is_induced_path(g, vertices[1:])
+
+
+def contains_induced_pairwise(g, pattern):
+    """contains_induced's search comparing vertex pairs one at a time: the
+    least injective induced map pattern -> g, as a tuple, or None."""
+    k = pattern.n
+    image = [0] * k
+
+    def place(i, used):
+        if i == k:
+            return True
+        for h in range(g.n):
+            if h in used or g.degree(h) < pattern.degree(i):
+                continue
+            if all(g.has_edge(image[j], h) == pattern.has_edge(j, i)
+                   for j in range(i)):
+                image[i] = h
+                if place(i + 1, used | {h}):
+                    return True
+        return False
+
+    return tuple(image) if k <= g.n and place(0, set()) else None

@@ -125,6 +125,13 @@ class TestDetect:
         assert main(["detect", "--pattern", "isk4", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read input:")
 
+    @pytest.mark.parametrize("argv", [["detect", "--pattern", "isk4"],
+                                      ["color"], ["decompose"]])
+    def test_unreadable_path_is_input_error(self, capsys, tmp_path, argv):
+        # a directory exists but cannot be read as a file
+        assert main(argv + [str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read input:")
+
 
 class TestColor:
     def test_exact_k4(self, capsys):

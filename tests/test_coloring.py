@@ -14,7 +14,6 @@ from isk4lab import coloring
 from isk4lab.coloring import (
     _backtrack,
     _first_level,
-    BoundExceeded,
     Coloring,
     ColoringFailure,
     ColoringTrace,
@@ -37,7 +36,8 @@ from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
                               find_maximal_k12n, find_rich_square)
 from isk4lab.scan import enumerate_small
 
-from oracles import brute_chromatic_number, dsatur_reference, has_isk4
+from oracles import (brute_chromatic_number, dsatur_reference, has_isk4,
+                     root_edge_coloring)
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import C6, K4, K33, K123, K222, PRISM6, all_graphs
 
@@ -46,8 +46,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # ISK4-free graphs on 9 and 10 vertices that contain a K_{1,2,3}; the
 # recursion refuses each with a hypothesis_violation at rule 7 (ROADMAP
 # item 1)
-PAST_N7 = (r"Hy\HWzH", r"HwrTkyS", r"Hpw[QH~", r"HYENuFM", r"Iq|OaXks?",
-           r"ISaikFVXG", r"If\uGwAq?", r"IAJvLYcM?", r"I{irOQqb?")
+PAST_N7 = tuple((FIXTURES / "past_n7.g6").read_text().split())
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -124,33 +123,41 @@ class TestColoringValidate:
 
 class TestChromaticNumberExact:
     def test_k4(self):
-        k, c = chromatic_number_exact(K4)
-        assert k == 4 and c.validate(K4)
+        c = chromatic_number_exact(K4)
+        assert c.k == 4 and c.validate(K4)
 
     def test_c5(self):
-        assert chromatic_number_exact(C5)[0] == 3
+        assert chromatic_number_exact(C5).k == 3
 
     def test_k123(self):
-        assert chromatic_number_exact(K123)[0] == 3
+        assert chromatic_number_exact(K123).k == 3
 
     def test_edgeless(self):
-        k, c = chromatic_number_exact(Graph.from_edges(5, []))
-        assert k == 1 and c.color == (0,) * 5
+        c = chromatic_number_exact(Graph.from_edges(5, []))
+        assert c.k == 1 and c.color == (0,) * 5
 
     def test_empty(self):
-        assert chromatic_number_exact(Graph.from_edges(0, [])) == (0, Coloring((), 0))
+        assert chromatic_number_exact(Graph.from_edges(0, [])) == Coloring((), 0)
 
     def test_bound_exceeded(self):
-        assert chromatic_number_exact(C5, 2) == BoundExceeded(2)
+        assert chromatic_number_exact(C5, 2) is None
 
     def test_bound_met(self):
-        assert chromatic_number_exact(C5, 3)[0] == 3
+        assert chromatic_number_exact(C5, 3).k == 3
 
     @given(random_graph_strategy(max_n=6))
     def test_matches_brute_force(self, g):
-        k, c = chromatic_number_exact(g)
-        assert k == brute_chromatic_number(g)
-        assert c.validate(g) and c.k == k
+        c = chromatic_number_exact(g)
+        assert c.k == brute_chromatic_number(g)
+        assert c.validate(g)
+
+    def test_bound_against_brute_force(self):
+        # None exactly when the chromatic number exceeds the bound
+        for n in range(6):
+            for g in all_graphs(n):
+                chi = brute_chromatic_number(g)
+                for b in range(5):
+                    assert (chromatic_number_exact(g, b) is None) == (chi > b)
 
 
 class TestBacktrackAgainstReference:
@@ -228,7 +235,7 @@ class TestRuleGates:
         assert "ExactFallback" in t.rules()
         assert {name for name, _ in calls} == {"_backtrack"}
         calls.clear()
-        assert chromatic_number_exact(C5)[0] == 3
+        assert chromatic_number_exact(C5).k == 3
         assert calls == [("_backtrack", (3,))]
 
     def test_first_levels(self):
@@ -296,6 +303,16 @@ class TestLineGraphColorer:
             assert c.validate(g) and c.k <= 4
             assert c.k >= brute_chromatic_number(g)
 
+    def test_same_as_root_edge_colouring(self):
+        # the search on g gives the colouring of the search on the root
+        for n in range(7):
+            for g in all_graphs(n):
+                cert = recognize_line_graph_subcubic(g)
+                if cert is not None:
+                    ref = root_edge_coloring(g, cert)
+                    assert color_subcubic_line_graph(g, cert) == \
+                        Coloring(tuple(ref), len(set(ref)))
+
 
 class TestRichSquareColorer:
     def test_k222_palette(self):
@@ -338,7 +355,7 @@ class TestPipelineExamples:
         assert contains_isk4(HOST124) is None
         c, t = pipeline_ok(HOST124)
         assert "K12nPeel" in t.rules()
-        assert chromatic_number_exact(HOST124)[0] <= c.k <= 4
+        assert chromatic_number_exact(HOST124).k <= c.k <= 4
 
     def test_c5_exact_fallback(self):
         c, t = pipeline_ok(C5)

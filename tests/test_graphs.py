@@ -312,6 +312,19 @@ class TestSetOps:
         k4 = Graph.complete(4)
         assert not is_induced_cycle(k4, [0, 1, 2, 3])  # chords
 
+    def test_induced_cycle_matches_two_path_form(self):
+        # every sequence of at most four vertices, repeats included, and
+        # every ordering of five, on every graph with n <= 5
+        for n in range(6):
+            seqs = [s for k in range(5)
+                    for s in itertools.product(range(n), repeat=k)]
+            seqs += list(itertools.permutations(range(n))) if n == 5 else []
+            for code in range(1 << n * (n - 1) // 2):
+                g = Graph.from_code(n, code)
+                for s in seqs:
+                    assert is_induced_cycle(g, s) == \
+                        oracles.is_induced_cycle_two_paths(g, s), (g, s)
+
     def test_chain_closes_on_cycle(self):
         # every vertex of C5 has degree 2: the walk comes back to its start
         assert chain(Graph.cycle(5), 0b11111, 0, 1) == [1, 2, 3, 4, 0]

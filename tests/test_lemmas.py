@@ -162,7 +162,7 @@ class TestVertexAttachment:
         g = k124_plus([0, 1])
         att = classify_vertex_attachment(g, self.H124, 7)
         assert att.tag == "one_edge" and att.witness == (0, 1)
-        assert att.consistent(g)
+        assert att.consistent(g, self.H124)
 
     def test_other_nonadjacent_pair(self):
         att = classify_vertex_attachment(k124_plus([1, 2]), self.H124, 7)

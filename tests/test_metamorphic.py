@@ -69,7 +69,7 @@ def profile(g):
     }
     return {"k4_minor": has_k4_minor(g), "hole": is_hole(g, g.vertex_mask),
             **{name: out is not None for name, out in found.items()},
-            "chi": chromatic_number_exact(g)[0]}
+            "chi": chromatic_number_exact(g).k}
 
 
 @pytest.mark.parametrize("g, perm", list(relabel_cases()))

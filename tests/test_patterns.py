@@ -22,6 +22,7 @@ from isk4lab.patterns import (
     is_maximal_k12n,
     is_prism,
     iter_maximal_k12n,
+    off_components,
 )
 from test_graphs import random_graph_strategy
 
@@ -79,6 +80,15 @@ class TestContainsInduced:
             assert (w is not None) == expect
             if w is not None:
                 assert w.validate(g)
+
+    def test_same_witness_as_pairwise_search(self):
+        # one mask test per placement finds the pairwise test's witness
+        for n in range(7):
+            for g in all_graphs(n):
+                for pattern in (K33, K222, K123):
+                    w = contains_induced(g, pattern)
+                    assert (None if w is None else w.mapping) == \
+                        oracles.contains_induced_pairwise(g, pattern)
 
 
 class TestIsk4:
@@ -350,6 +360,19 @@ class TestK12n:
                 if oracles.brute_is_maximal_k12n(g, K12nEmbedding(*t))
             }
             assert mine == brute
+
+    def test_off_components_match_networkx(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                h = oracles.to_nx(g)
+                for emb in iter_maximal_k12n(g, 2):
+                    vs = {emb.a, *emb.b, *emb.c}
+                    rest = h.subgraph(set(range(n)) - vs)
+                    expect = sorted(
+                        (min(c), mask_of(c),
+                         mask_of(vs & {u for v in c for u in h[v]}))
+                        for c in nx.connected_components(rest))
+                    assert off_components(g, emb) == [e[1:] for e in expect]
 
     @settings(max_examples=40)
     @given(random_graph_strategy(max_n=6))

@@ -37,7 +37,7 @@ class TestScanConfig:
             ScanConfig(checks=("CHI-LE-4", "NOT-A-CHECK"))
 
     @pytest.mark.parametrize("kw", [{"budget": 0}, {"budget": -5},
-                                    {"parallelism": 0}, {"witness_cap": -1}])
+                                    {"parallelism": 0}])
     def test_rejects_bad_numbers(self, kw):
         with pytest.raises(ValueError):
             ScanConfig(checks=CHECKS, **kw)
@@ -118,8 +118,9 @@ class TestParseFailures:
         assert report.parse_failures == 1
         assert "reason" in report.failures[0]["evidence"]
 
-    def test_witness_cap_suppresses_overflow(self):
-        report = run(["x"] * 5, witness_cap=2)
+    def test_witness_cap_suppresses_overflow(self, monkeypatch):
+        monkeypatch.setattr(scan, "WITNESS_CAP", 2)
+        report = run(["x"] * 5)
         assert report.parse_failures == 5
         assert len(report.failures) == 2
         assert report.suppressed == {"parse": 3}
@@ -156,7 +157,8 @@ class TestInternalErrors:
             raise KeyError(g.n)
 
         monkeypatch.setattr(scan, "contains_isk4", broken)
-        report = run(SMALL[:5], witness_cap=2)
+        monkeypatch.setattr(scan, "WITNESS_CAP", 2)
+        report = run(SMALL[:5])
         assert [w["evidence"]["type"] for w in report.failures] == ["KeyError"] * 2
         assert report.suppressed == {"internal_error": 3}
         assert report.internal_errors == 5 and report.consistent()
