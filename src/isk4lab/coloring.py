@@ -39,6 +39,7 @@ from .patterns import (
     contains_isk4,
     find_maximal_k12n,
     find_rich_square,
+    iter_rich_squares,
     off_components,
 )
 
@@ -296,10 +297,10 @@ def color_rich_square(g: Graph, s: SquareLinkStructure) -> Coloring:
 
 
 class _Ids:
-    """A scope's vertices: mask in g's ids, and its vertex i is back[i]."""
+    """A scope's vertices: vertex i is g's vertex back[i]; mask in g's ids."""
 
-    def __init__(self, mask: int, back: list[int]):
-        self.mask = mask
+    def __init__(self, back: list[int]):
+        self.mask = mask_of(back)
         self.back = back
 
     def orig(self, vs: Iterable[int]) -> list[int]:
@@ -307,14 +308,14 @@ class _Ids:
 
 
 class _Scope(_Ids):
-    """One instance of the recursion: h = g[mask], h-vertex i is back[i].
-    A piece of a clique-cutset split keeps its parent's cutset (in g's
+    """One instance of the recursion, the graph h; rules work in h's ids.
+    A piece of a clique-cutset split keeps its parent's cutset (in its own
     ids) as `after`, the floor of its own clique-cutset search."""
 
-    def __init__(self, g: Graph, mask: int,
+    def __init__(self, h: Graph, back: list[int],
                  after: Optional[list[int]] = None):
-        self.h, back = induced_subgraph(g, mask)
-        super().__init__(mask, back)
+        super().__init__(back)
+        self.h = h
         self.after = after
 
     def local(self, vs: Iterable[int]) -> list[int]:
@@ -342,7 +343,7 @@ class _Scope(_Ids):
 
 
 def _merge(base: dict[int, int], other: dict[int, int],
-           shared: list[int]) -> dict[int, int]:
+           shared: Iterable[int]) -> dict[int, int]:
     """Overlay `other` onto `base` after permuting its colours so the shared
     vertices agree; leftover colours go to the lowest free ids."""
     pi: dict[int, int] = {}
@@ -371,7 +372,7 @@ def _merge(base: dict[int, int], other: dict[int, int],
 
 def _leaf(colour: Callable) -> Callable:
     """apply for a rule whose colour(s, cert) colours h outright."""
-    return lambda s, cert, sub: (dict(zip(s.back, colour(s, cert).color)), {})
+    return lambda s, cert, sub: (colour(s, cert).color, {})
 
 
 def _trivial(s: _Scope) -> Optional[int]:
@@ -381,44 +382,42 @@ def _trivial(s: _Scope) -> Optional[int]:
 
 def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> tuple[dict, dict]:
     smask = mask_of(cc.vertices)
-    shared = s.orig(cc.vertices)
     merged: Optional[dict[int, int]] = None
     for cm in components(s.h, s.h.vertex_mask & ~smask):
-        part = sub(cm | smask, after=shared)
-        merged = part if merged is None else _merge(merged, part, shared)
+        part = sub(cm | smask, after=cc.vertices)
+        merged = part if merged is None else _merge(merged, part, cc.vertices)
     return merged, {}
 
 
-def _recolor(h: Graph, back: list[int], block: int, pair: tuple[int, int],
+def _recolor(h: Graph, block: int, pair: tuple[int, int],
              equal: bool) -> Optional[dict[int, int]]:
     """Cheapest colouring of h[block] with the pair relation imposed, bound 4."""
     hb, bb = induced_subgraph(h, block)
     raw = _least(hb, 4, (bb.index(pair[0]), bb.index(pair[1])), equal)
-    return None if raw is None else {back[v]: c for v, c in zip(bb, raw)}
+    return None if raw is None else dict(zip(bb, raw))
 
 
 def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
-    h, back, a, b = s.h, s.back, pc.a, pc.b
-    A, B = back[a], back[b]
+    a, b = pc.a, pc.b
     bx = pc.x | 1 << a | 1 << b
     by = pc.y | 1 << a | 1 << b
     cx = sub(bx)
     cy = sub(by)
-    if (cx[A] == cx[B]) == (cy[A] == cy[B]):
-        return _merge(cx, cy, [A, B]), {"resolution": "agree"}
+    if (cx[a] == cx[b]) == (cy[a] == cy[b]):
+        return _merge(cx, cy, (a, b)), {"resolution": "agree"}
     # recolour the smaller block to match the larger block's relation on
     # (a, b); failing that the larger block
     tries = [(bx, cy, "recolor_x"), (by, cx, "recolor_y")]
     if pc.x.bit_count() > pc.y.bit_count():
         tries.reverse()
     for block, kept, res in tries:
-        redo = _recolor(h, back, block, (a, b), equal=kept[A] == kept[B])
+        redo = _recolor(s.h, block, (a, b), equal=kept[a] == kept[b])
         if redo is not None:
-            return _merge(kept, redo, [A, B]), {"resolution": res}
+            return _merge(kept, redo, (a, b)), {"resolution": res}
     # h has no 4-colouring: one would give both blocks the same relation on
     # (a, b), and each relation has just been refuted on one block
     raise _Fail("chromatic_bound_exceeded", 4, s.mask,
-                {"bound": 4, "vertices": sorted(back)})
+                {"bound": 4, "vertices": list(bits(s.mask))})
 
 
 def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
@@ -443,11 +442,10 @@ def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
 def _whole_rich_square(s: _Scope) -> Optional[SquareLinkStructure]:
     if s.prism_or_rich is None:
         return None
-    prism, rich = s.prism_or_rich
-    whole = rich if rich is not None and rich.whole else \
-        find_rich_square(s.h, whole_only=True)
+    whole = next((r for r in iter_rich_squares(s.h) if r.whole), None)
     if whole is not None:
         return whole
+    prism, rich = s.prism_or_rich
     raise _Fail("hypothesis_violation", 6, s.mask, {
         "expectation": "with a prism or rich square present and no "
                        "cutset the graph must be the line graph of a "
@@ -488,10 +486,9 @@ def _k12n(s: _Scope) -> Optional[K12nEmbedding]:
 
 
 def _peel(s: _Scope, emb: K12nEmbedding, sub) -> tuple[dict, dict]:
-    out = dict(sub(s.h.vertex_mask & ~mask_of(emb.c)))
-    tri = {out[v] for v in s.orig((emb.a,) + emb.b)}
-    free = min(set(range(4)) - tri)
-    out.update(dict.fromkeys(s.orig(emb.c), free))
+    out = sub(s.h.vertex_mask & ~mask_of(emb.c))
+    free = min(set(range(4)) - {out[v] for v in (emb.a,) + emb.b})
+    out.update(dict.fromkeys(emb.c, free))
     return out, {}
 
 
@@ -499,7 +496,7 @@ def _exact(s: _Scope) -> Coloring:
     col = chromatic_number_exact(s.h, 4)
     if col is None:
         raise _Fail("chromatic_bound_exceeded", 8, s.mask,
-                    {"bound": 4, "vertices": sorted(s.back)})
+                    {"bound": 4, "vertices": list(bits(s.mask))})
     return col
 
 
@@ -507,10 +504,10 @@ def _exact(s: _Scope) -> Coloring:
 # h's ids, None when the rule does not apply, or raises _Fail; encode(s, cert)
 # and decode(s, detail) map it to and from the trace detail (original ids);
 # check(s, cert) re-validates a decoded one, by default with its validate;
-# apply(s, cert, sub) colours the scope, sub(m) colouring h[m], and returns
-# the colouring (original ids) and what the detail records after the
-# recursion.  Detectors are looked up by module-global name at call time, so
-# rebinding them on this module reaches every call.
+# apply(s, cert, sub) colours h, sub(m) giving h[m]'s colouring keyed by h's
+# ids, and returns h's colouring (indexed by h's ids) and what the detail
+# records after the recursion.  Detectors are looked up by module-global
+# name at call time, so rebinding them on this module reaches every call.
 _Rule = namedtuple("_Rule", "name find encode decode apply check",
                    defaults=(lambda s, cert: cert.validate(s.h),))
 _TABLE = (
@@ -518,10 +515,9 @@ _TABLE = (
           encode=lambda s, n: {},
           decode=lambda s, d: _trivial(s),
           check=lambda s, n: n is not None,
-          apply=lambda s, n, sub: (dict(zip(s.back, range(n))), {})),
+          apply=lambda s, n, sub: (range(n), {})),
     _Rule("CliqueCutsetSplit",
-          find=lambda s: find_clique_cutset(
-              s.h, after=None if s.after is None else s.local(s.after)),
+          find=lambda s: find_clique_cutset(s.h, after=s.after),
           encode=lambda s, cc: {"cutset": s.orig(cc.vertices)},
           decode=lambda s, d: CliqueCutset(tuple(sorted(s.local(d["cutset"])))),
           apply=_split_clique),
@@ -547,7 +543,6 @@ _TABLE = (
                                 "root_edges": [list(e) for e in lg.root.edges()],
                                 "edge_of": [list(e) for e in lg.edge_of]},
           decode=lambda s, d: SubcubicRootCert(
-              Graph.from_edges(d["root_n"], [tuple(e) for e in d["root_edges"]]),
               tuple(tuple(e) for e in d["edge_of"])),
           apply=_leaf(lambda s, lg: color_subcubic_line_graph(s.h, lg))),
     _Rule("RichSquare", find=_whole_rich_square,
@@ -618,38 +613,42 @@ def _recorded(steps) -> Callable:
 PIECES_BOUND = 4096
 
 
-def _solve(g: Graph, mask: int, depth: int, pick: Callable, steps: list,
-           after: Optional[list[int]] = None,
-           pieces: Optional[dict] = None) -> dict[int, int]:
-    """Colour g[mask], taking each rule from pick and appending the applied
-    steps to steps in pre-order, each as (ids, rule, cert, outcome): the
-    scope's _Ids, the rule, its certificate in the scope's ids and what
-    apply recorded.
+def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
+           steps: list, after: Optional[list[int]] = None,
+           pieces: Optional[dict] = None) -> list[int]:
+    """Colour h, whose vertex i is g's vertex back[i], and return the
+    colouring in h's ids, renumbered by first occurrence.  Rules come from
+    pick; each applied step goes to steps in pre-order as (ids, rule, cert,
+    outcome): the scope's _Ids, its certificate in its own ids and what
+    apply recorded.  sub(m) induces h[m] from h, so the vertex maps compose,
+    and returns its colouring keyed by h's ids.
 
     With pieces, a scope below the top with more than four vertices is
     looked up by its adjacency.  A hit re-emits the stored steps through
-    this scope's back map and returns the stored colouring; a miss stores
-    them, with vertices in this scope's ids, once the subtree succeeds.
-    The key can ignore `after`: the clique-cutset floor is exact, so the
-    whole subtree depends on h alone."""
-    assert depth <= g.n, "every rule must shrink its instance"
-    s = _Scope(g, mask, after)
-    key = s.h.adj if pieces is not None and depth and s.h.n > 4 else None
+    back and returns the stored colouring; a miss stores them, with
+    vertices in h's ids, once the subtree succeeds.  The key can ignore
+    `after`: the clique-cutset floor is exact, so the whole subtree depends
+    on h alone."""
+    s = _Scope(h, back, after)
+    key = h.adj if pieces is not None and depth and h.n > 4 else None
     hit = pieces.get(key) if key is not None else None
     if hit is not None:
         canon, done = hit
-        for back, rule, cert, outcome in done:
-            back = s.orig(back)
-            steps.append((_Ids(mask_of(back), back), rule, cert, outcome))
-        return dict(zip(s.back, canon))
+        for local, rule, cert, outcome in done:
+            steps.append((_Ids(s.orig(local)), rule, cert, outcome))
+        return canon
     start = len(steps)
 
-    def sub(m: int, after: Optional[list[int]] = None) -> dict[int, int]:
-        return _solve(g, mask_of(s.orig(bits(m))), depth + 1, pick, steps,
-                      after, pieces)
+    def sub(m: int, after: Optional[Iterable[int]] = None) -> dict[int, int]:
+        assert m != h.vertex_mask, "every rule must shrink its instance"
+        piece, vmap = induced_subgraph(h, m)
+        if after is not None:
+            after = [vmap.index(v) for v in after]
+        return dict(zip(vmap, _solve(piece, [back[v] for v in vmap],
+                                     depth + 1, pick, steps, after, pieces)))
 
     # past Trivial, colour components independently, palettes overlapping
-    comps = components(s.h) if s.h.n > 4 else []
+    comps = components(h) if h.n > 4 else []
     if len(comps) > 1:
         col: dict[int, int] = {}
         for cm in comps:
@@ -660,14 +659,14 @@ def _solve(g: Graph, mask: int, depth: int, pick: Callable, steps: list,
         steps.append((s, rule, cert, outcome))
         col, done = rule.apply(s, cert, sub)
         outcome.update(done)
-    canon = _canon_list(map(col.__getitem__, s.back))
+    canon = _canon_list(col[v] for v in range(h.n))
     assert max(canon, default=0) < 4
     if key is not None:
         if len(pieces) >= PIECES_BOUND:
             pieces.clear()
         pieces[key] = (canon, [(s.local(ids.back), rule, cert, outcome)
                                for ids, rule, cert, outcome in steps[start:]])
-    return dict(zip(s.back, canon))
+    return canon
 
 
 def _trace(steps: list) -> ColoringTrace:
@@ -694,7 +693,7 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
     """
     steps: list = []
     try:
-        col = _solve(g, g.vertex_mask, 0, _first_rule, steps, pieces=pieces)
+        col = _solve(g, list(range(g.n)), 0, _first_rule, steps, pieces=pieces)
     except _Fail as exc:
         f = exc.failure
         if f.kind == "chromatic_bound_exceeded" and contains_isk4(g) is None:
@@ -702,7 +701,7 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
                 **f.evidence, "note": "needs five colours yet has no induced "
                                       "K4 subdivision: counterexample candidate"})
         return f
-    out = _coloring(col[v] for v in range(g.n))
+    out = _coloring(col)
     assert out.k <= 4 and out.validate(g)
     return out, _trace(steps)
 
@@ -718,7 +717,7 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     """
     steps: list = []
     try:
-        col = _solve(g, g.vertex_mask, 0, _recorded(trace.steps), steps)
+        col = _solve(g, list(range(g.n)), 0, _recorded(trace.steps), steps)
     except _Fail as exc:
         # the recorded rules lead to an instance the recursion refuses
         raise ValueError(f"trace does not fit the graph: {exc.failure.kind} "
@@ -727,7 +726,7 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     # steps, a wrong 2-cutset resolution and an encode/decode pair that drifts
     if _trace(steps).steps != tuple(trace.steps):
         raise ValueError("trace differs from its replay")
-    out = _coloring(col[v] for v in range(g.n))
+    out = _coloring(col)
     if not out.validate(g):
         raise ValueError("replayed colouring is not proper")
     return out

@@ -187,18 +187,23 @@ def recognize_complete_multipartite(g: Graph) -> Optional[MultipartiteCert]:
 
 @dataclass(frozen=True)
 class SubcubicRootCert:
-    """Root graph with max degree <= 3 whose line graph is g: g-vertex v
-    corresponds to the root edge edge_of[v], adjacency iff shared endpoint."""
+    """g-vertex v is the root edge edge_of[v], adjacency iff shared endpoint;
+    the root, the graph of those edges on 0..max endpoint, has max degree <= 3."""
 
-    root: Graph
     edge_of: tuple[tuple[int, int], ...]
 
+    @property
+    def root(self) -> Graph:
+        return Graph.from_edges(1 + max(map(max, self.edge_of), default=-1),
+                                self.edge_of)
+
     def validate(self, g: Graph) -> bool:
-        if len(self.edge_of) != g.n:
+        if len(self.edge_of) != g.n or any(not 0 <= u < v for u, v in self.edge_of):
             return False
-        if sorted(self.edge_of) != self.root.edges():
+        root = self.root
+        if sorted(self.edge_of) != root.edges():
             return False
-        if any(self.root.degree(v) > 3 for v in range(self.root.n)):
+        if any(root.degree(v) > 3 for v in range(root.n)):
             return False
         return all(
             g.has_edge(u, v) == bool(set(self.edge_of[u]) & set(self.edge_of[v]))
@@ -209,55 +214,42 @@ class SubcubicRootCert:
 def recognize_line_graph_subcubic(g: Graph) -> Optional[SubcubicRootCert]:
     """Backtracking search for a partition of g's edges into cliques of size
     <= 3 with every vertex in at most two of them, then root reconstruction.
+    The least edge outside the cliques so far (`owned`, a mask of edge
+    indices) goes into a triangle with w ascending, else alone.
 
     Isolated vertices of g become their own pendant root edges, so K1 maps to
     a root P2.
     """
     edges = g.edges()
-    owner: dict[tuple[int, int], int] = {}
+    index = {e: i for i, (u, v) in enumerate(edges) for e in ((u, v), (v, u))}
     cliques: list[tuple[int, ...]] = []
     load = [0] * g.n
 
-    def commit(c: tuple[int, ...]) -> None:
-        idx = len(cliques)
-        cliques.append(c)
-        for u, v in combinations(c, 2):
-            owner[(u, v)] = idx
-        for v in c:
-            load[v] += 1
-
-    def undo(c: tuple[int, ...]) -> None:
-        cliques.pop()
-        for u, v in combinations(c, 2):
-            del owner[(u, v)]
-        for v in c:
-            load[v] -= 1
-
-    def place(i: int) -> bool:
-        while i < len(edges) and edges[i] in owner:
+    def place(i: int, owned: int) -> bool:
+        while owned >> i & 1:
             i += 1
         if i == len(edges):
             return True
         u, v = edges[i]
         if load[u] == 2 or load[v] == 2:
             return False
-        for w in bits(g.adj[u] & g.adj[v]):
-            if load[w] == 2:
+        tris = [(tuple(sorted((u, v, w))),
+                 1 << i | 1 << index[u, w] | 1 << index[v, w])
+                for w in bits(g.adj[u] & g.adj[v]) if load[w] < 2]
+        for c, m in tris + [((u, v), 1 << i)]:
+            if owned & m:
                 continue
-            tri = tuple(sorted((u, v, w)))
-            if any(e in owner for e in combinations(tri, 2) if e != (u, v)):
-                continue
-            commit(tri)
-            if place(i + 1):
+            cliques.append(c)
+            for x in c:
+                load[x] += 1
+            if place(i + 1, owned | m):
                 return True
-            undo(tri)
-        commit((u, v))
-        if place(i + 1):
-            return True
-        undo((u, v))
+            cliques.pop()
+            for x in c:
+                load[x] -= 1
         return False
 
-    if not place(0):
+    if not place(0, 0):
         return None
 
     in_cliques: list[list[int]] = [[] for _ in range(g.n)]
@@ -272,6 +264,6 @@ def recognize_line_graph_subcubic(g: Graph) -> Optional[SubcubicRootCert]:
             ends = ends + [nroot]
             nroot += 1
         edge_of.append((min(ends), max(ends)))
-    cert = SubcubicRootCert(Graph.from_edges(nroot, edge_of), tuple(edge_of))
+    cert = SubcubicRootCert(tuple(edge_of))
     assert cert.validate(g)
     return cert

@@ -128,6 +128,8 @@ class Graph:
     def from_code(cls, n: int, code: int) -> "Graph":
         """Build from the column-major upper-triangle bit code (graph6 bit order):
         column j starts at bit j(j-1)/2 and is the mask of j's neighbours below j."""
+        if n < 0 or not 0 <= code < 1 << n * (n - 1) // 2:
+            raise ValueError(f"code {code} out of range for n={n}")
         adj = [0] * n
         for j in range(1, n):
             adj[j] = code >> (j * (j - 1) // 2) & ((1 << j) - 1)
@@ -167,6 +169,8 @@ class Graph:
 
     def relabel(self, perm: list[int]) -> "Graph":
         """perm[v] = new label of old vertex v."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
         adj = [0] * self.n
         for v in range(self.n):
             adj[perm[v]] = mask_of(perm[u] for u in bits(self.adj[v]))
@@ -392,6 +396,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(tokens[0]), int(tokens[1])
     except ValueError as e:
         raise GraphFormatError(f"bad edge list header: {e}") from None
+    if n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"n={n} exceeds the limit {GRAPH6_MAX_N}")
     if len(tokens) != 2 + 2 * m:
         raise GraphFormatError(
             f"edge list declares {m} edges but has {(len(tokens) - 2) // 2}")

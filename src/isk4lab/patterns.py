@@ -368,14 +368,11 @@ def _classify_link(g: Graph, comp: int, smask: int, e1: int, e2: int) -> Optiona
     return SquareLink(tuple(order), False)
 
 
-def find_rich_square(g: Graph, whole_only: bool = False) -> Optional[SquareLinkStructure]:
-    """Least induced square with at least two link components off it.
-
-    whole=True when every component off the square is a link (the form the
-    direct colorer accepts); otherwise only containment is certified.
-    With whole_only, containment-mode hits are skipped and the scan keeps
-    going, so a whole-mode structure under a later square is still found.
-    """
+def iter_rich_squares(g: Graph) -> Iterator[SquareLinkStructure]:
+    """Every induced square with at least two link components off it, by
+    square and then rotation.  whole=True when every component off the
+    square is a link (the form the direct colorer accepts); otherwise only
+    containment is certified."""
     for quad in combinations(range(g.n), 4):
         smask = mask_of(quad)
         degs = [(g.adj[v] & smask).bit_count() for v in quad]
@@ -397,8 +394,10 @@ def find_rich_square(g: Graph, whole_only: bool = False) -> Optional[SquareLinkS
                 if l is not None:
                     links.append(l)
             if len(links) >= 2:
-                out = SquareLinkStructure(order, tuple(links),
+                yield SquareLinkStructure(order, tuple(links),
                                           whole=len(links) == len(comps))
-                if out.whole or not whole_only:
-                    return out
-    return None
+
+
+def find_rich_square(g: Graph) -> Optional[SquareLinkStructure]:
+    """The first structure of iter_rich_squares, or None."""
+    return next(iter_rich_squares(g), None)

@@ -10,7 +10,8 @@ from itertools import combinations
 
 import networkx as nx
 
-from isk4lab.graphs import is_induced_path
+from isk4lab.graphs import Graph, bits, components, is_induced_path, mask_of
+from isk4lab.patterns import SquareLinkStructure, _classify_link
 
 
 def to_nx(g):
@@ -383,3 +384,95 @@ def contains_induced_pairwise(g, pattern):
         return False
 
     return tuple(image) if k <= g.n and place(0, set()) else None
+
+
+# -- rule 6's search before it became one generator and an edge map -------
+
+
+def rich_square_whole_only(g, whole_only):
+    """find_rich_square with its former mode flag: the least induced square
+    with at least two links, or with whole_only the least one whose links
+    are every component off it (later squares and rotations still tried)."""
+    for quad in combinations(range(g.n), 4):
+        smask = mask_of(quad)
+        if [(g.adj[v] & smask).bit_count() for v in quad] != [2, 2, 2, 2]:
+            continue
+        v1 = quad[0]
+        v2, v4 = sorted(bits(g.adj[v1] & smask))
+        v3 = (smask & ~(1 << v1 | 1 << v2 | 1 << v4)).bit_length() - 1
+        comps = components(g, g.vertex_mask & ~smask)
+        for order in ((v1, v2, v3, v4), (v2, v3, v4, v1)):
+            e1 = 1 << order[0] | 1 << order[1]
+            e2 = 1 << order[2] | 1 << order[3]
+            links = [l for l in (_classify_link(g, c, smask, e1, e2)
+                                 for c in comps) if l is not None]
+            if len(links) >= 2:
+                out = SquareLinkStructure(order, tuple(links),
+                                          whole=len(links) == len(comps))
+                if out.whole or not whole_only:
+                    return out
+    return None
+
+
+def line_graph_commit_undo(g):
+    """recognize_line_graph_subcubic's search with an owner dict and
+    commit/undo helpers: (root, edge_of) or None."""
+    edges = g.edges()
+    owner = {}
+    cliques = []
+    load = [0] * g.n
+
+    def commit(c):
+        idx = len(cliques)
+        cliques.append(c)
+        for u, v in combinations(c, 2):
+            owner[(u, v)] = idx
+        for v in c:
+            load[v] += 1
+
+    def undo(c):
+        cliques.pop()
+        for u, v in combinations(c, 2):
+            del owner[(u, v)]
+        for v in c:
+            load[v] -= 1
+
+    def place(i):
+        while i < len(edges) and edges[i] in owner:
+            i += 1
+        if i == len(edges):
+            return True
+        u, v = edges[i]
+        if load[u] == 2 or load[v] == 2:
+            return False
+        for w in bits(g.adj[u] & g.adj[v]):
+            if load[w] == 2:
+                continue
+            tri = tuple(sorted((u, v, w)))
+            if any(e in owner for e in combinations(tri, 2) if e != (u, v)):
+                continue
+            commit(tri)
+            if place(i + 1):
+                return True
+            undo(tri)
+        commit((u, v))
+        if place(i + 1):
+            return True
+        undo((u, v))
+        return False
+
+    if not place(0):
+        return None
+    in_cliques = [[] for _ in range(g.n)]
+    for idx, c in enumerate(cliques):
+        for v in c:
+            in_cliques[v].append(idx)
+    nroot = len(cliques)
+    edge_of = []
+    for v in range(g.n):
+        ends = in_cliques[v]
+        while len(ends) < 2:
+            ends = ends + [nroot]
+            nroot += 1
+        edge_of.append((min(ends), max(ends)))
+    return Graph.from_edges(nroot, edge_of), tuple(edge_of)

@@ -28,7 +28,7 @@ from isk4lab.decompose import (
 )
 from isk4lab.graphs import Graph, bits, code_to_graph6, parse_graph6, write_graph6
 from isk4lab.lemmas import check_lemma
-from isk4lab.patterns import contains_isk4, find_rich_square
+from isk4lab.patterns import contains_isk4, iter_rich_squares
 from isk4lab.scan import ScanConfig, scan_stream
 
 from _accept import (
@@ -194,7 +194,7 @@ def test_leaf_colorer_bounds():
                 col = color_complete_multipartite(mp)
                 if col.k != len(mp.parts) or not col.validate(g):
                     violations.append(("multipartite", n, code))
-            rs = find_rich_square(g, whole_only=True)
+            rs = next((s for s in iter_rich_squares(g) if s.whole), None)
             if rs is not None:
                 seen["rich-square"] += 1
                 col = color_rich_square(g, rs)

@@ -390,3 +390,9 @@ class TestDeterminismAndEntryPoint:
                         "--format", "edgelist",
                         "4 6 0 1 0 2 0 3 1 2 1 3 2 3")
         assert code == 0 and doc["vertices"] == [0, 1, 2, 3]
+
+    def test_edgelist_past_the_size_limit_is_input_error(self, capsys):
+        # the header's n is checked before any allocation
+        assert main(["detect", "--pattern", "isk4", "--format", "edgelist",
+                     "1000000000000000000 0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

@@ -441,6 +441,18 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             replay_trace(K123, bad)
 
+    @pytest.mark.parametrize("change", [
+        {"root_n": 6},
+        {"root_edges": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 5]]}])
+    def test_replay_rejects_tampered_root(self, change):
+        # decode reads only edge_of; re-encoding gives the true root back
+        _, t = pipeline_ok(PRISM6)
+        head, = t.steps
+        assert head.rule == "SubcubicLineGraph"
+        bad = TraceStep(head.rule, head.scope, {**head.detail, **change})
+        with pytest.raises(ValueError, match="differs from its replay"):
+            replay_trace(PRISM6, ColoringTrace((bad,)))
+
     def test_replay_rejects_wrong_graph(self):
         _, t = pipeline_ok(K123)
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from isk4lab.decompose import (
 from isk4lab.coloring import structural_four_coloring
 from isk4lab.graphs import Graph, bits, components, induced_subgraph, is_connected, mask_of
 from test_graphs import kernel_graphs, random_graph_strategy
-from test_patterns import K33, K123, K222, PRISM6, all_graphs
+from test_patterns import K33, K123, K222, PRISM6, all_graphs, rule6_inputs
 
 
 class TestCliqueCutset:
@@ -287,6 +287,20 @@ class TestLineGraphSubcubic:
             assert (cert is not None) == oracles.brute_is_subcubic_line_graph(g)
             if cert is not None:
                 assert cert.validate(g)
+
+    def test_against_commit_undo_search(self):
+        # the same partition, so the same root and edge map
+        for g in rule6_inputs():
+            cert = recognize_line_graph_subcubic(g)
+            ref = oracles.line_graph_commit_undo(g)
+            assert ref == (None if cert is None else (cert.root, cert.edge_of))
+
+    def test_root_is_the_graph_of_the_edge_map(self):
+        cert = decompose.SubcubicRootCert(((0, 1), (1, 2), (1, 3)))
+        assert cert.root == Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        assert cert.validate(Graph.complete(3))
+        assert not decompose.SubcubicRootCert(((0, 1), (1, 1), (1, 3))) \
+            .validate(Graph.complete(3))
 
     @settings(max_examples=30, deadline=None)
     @given(random_graph_strategy(max_n=6))

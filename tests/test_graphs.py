@@ -128,6 +128,18 @@ class TestConstruction:
                 sub, _ = induced_subgraph(g, code % (1 << n))
                 assert Graph(sub.n, sub.adj) == sub
 
+    @pytest.mark.parametrize("n, code", [(4, -1), (3, 1 << 10), (-1, 0)])
+    def test_from_code_rejects_out_of_range(self, n, code):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_code(n, code)
+
+    @pytest.mark.parametrize("g, perm", [
+        (Graph.from_edges(4, [(0, 1)]), [2, 3, 2, 3]),
+        (Graph.cycle(5), [0, 1, 2])])
+    def test_relabel_rejects_a_non_permutation(self, g, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            g.relabel(perm)
+
     def test_code_roundtrip(self):
         for g in [Graph.complete(5), Graph.cycle(6), Graph.path(4), Graph.empty(3)]:
             assert Graph.from_code(g.n, g.code()) == g
@@ -236,6 +248,11 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError, match="out of range"):
             parse_edge_list("2 1\n0 5\n")
 
+    @pytest.mark.parametrize("text", ["63 0", "1000000000000000000 0"])
+    def test_rejects_n_past_the_graph6_limit(self, text):
+        with pytest.raises(GraphFormatError, match="exceeds the limit 62"):
+            parse_edge_list(text)
+
     @given(graphs)
     def test_roundtrip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
@@ -263,6 +280,18 @@ class TestSetOps:
             expect = nx.convert_node_labels_to_integers(
                 oracles.to_nx(g).subgraph(vmap), ordering="sorted")
             assert h.edges() == sorted(tuple(sorted(e)) for e in expect.edges())
+
+    def test_piece_of_a_piece_is_the_piece_of_the_graph(self):
+        # inducing from an induced subgraph gives the graph's own piece on
+        # the composed vertex map
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randint(0, 12)
+            g = Graph.from_code(n, rng.getrandbits(n * (n - 1) // 2))
+            h, hmap = induced_subgraph(g, rng.getrandbits(n))
+            piece, pmap = induced_subgraph(h, rng.getrandbits(h.n))
+            composed = [hmap[i] for i in pmap]
+            assert induced_subgraph(g, mask_of(composed)) == (piece, composed)
 
     def test_components_against_networkx(self):
         rng = random.Random(10)

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -8,7 +9,7 @@ from networkx.algorithms import isomorphism
 
 import oracles
 from bench import ladders
-from isk4lab.graphs import Graph, bits, mask_of
+from isk4lab.graphs import Graph, bits, mask_of, parse_graph6
 from isk4lab.patterns import (
     K12nEmbedding,
     SquareLinkStructure,
@@ -22,9 +23,12 @@ from isk4lab.patterns import (
     is_maximal_k12n,
     is_prism,
     iter_maximal_k12n,
+    iter_rich_squares,
     off_components,
 )
 from test_graphs import random_graph_strategy
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 K4 = Graph.complete(4)
 C6 = Graph.cycle(6)
@@ -46,6 +50,15 @@ def all_graphs(n):
     nbits = n * (n - 1) // 2
     for code in range(1 << nbits):
         yield Graph.from_code(n, code)
+
+
+def rule6_inputs():
+    """Every labeled graph with n <= 6, then the first 3,000 fixture lines."""
+    for n in range(7):
+        yield from all_graphs(n)
+    with open(FIXTURES / "scan_stream_100k.g6") as f:
+        for line in islice(f, 3000):
+            yield parse_graph6(line)
 
 
 class TestContainsInduced:
@@ -431,6 +444,17 @@ class TestRichSquare:
         assert not SquareLinkStructure(s.square, s.links[:1], False).validate(K222)
         assert not SquareLinkStructure(s.square, s.links, True).validate(
             Graph.from_edges(7, K222.edges() + [(4, 6)]))
+
+    def test_generator_against_the_mode_flag(self):
+        # the first structure is find_rich_square's former default, the
+        # first whole one its former whole_only answer
+        for g in rule6_inputs():
+            found = list(iter_rich_squares(g))
+            assert all(s.validate(g) for s in found)
+            assert find_rich_square(g) == \
+                oracles.rich_square_whole_only(g, False)
+            assert next((s for s in found if s.whole), None) == \
+                oracles.rich_square_whole_only(g, True)
 
     @settings(max_examples=60)
     @given(random_graph_strategy(max_n=7))
