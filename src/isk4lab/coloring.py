@@ -3,10 +3,10 @@
 
 `structural_four_coloring` applies the first matching rule at each level:
 trivial size, connectivity split, clique cutset, proper 2-cutset, complete
-multipartite, subcubic line graph / whole rich square, K_{1,2,n} peel, and a
-bounded exact search as the safety net.  It returns the colouring together
-with a replayable trace of the applied rules, or a structured failure
-naming the expectation that broke.
+multipartite, subcubic line graph / whole rich square, and a peel of the
+vertices of degree at most three, coloured last.  It returns the colouring
+together with a replayable trace of the applied rules, or a structured
+failure naming the expectation that broke.
 
 Each trace rule is one entry of the rule table `_TABLE`.  Search and
 `replay_trace` run the same recursion over it and differ only in where a
@@ -32,15 +32,13 @@ from .decompose import (
 )
 from .graphs import Graph, bits, components, has_k4_minor, induced_subgraph, mask_of
 from .patterns import (
-    K12nEmbedding,
     SquareLink,
     SquareLinkStructure,
     contains_fixed,
     contains_isk4,
-    find_maximal_k12n,
+    find_maximal_k12n,  # noqa: F401  bench/trace.py rebinds it here
     find_rich_square,
     iter_rich_squares,
-    off_components,
 )
 
 
@@ -327,10 +325,9 @@ class _Scope(_Ids):
 
     @cached_property
     def k4_minor(self) -> bool:
-        """Does h have a K4 minor?  Without one, rules 5 to 7 find nothing:
-        K33, a prism, a rich square (a centre link gives a W4, a path link
-        a subdivided prism) and K_{1,2,n} for n >= 2 (it holds K_{1,2,2} =
-        W4) each have a K4 minor."""
+        """Does h have a K4 minor?  Without one, rules 5 and 6 find
+        nothing: K33, a prism and a rich square (a centre link gives a W4, a
+        path link a subdivided prism) each have a K4 minor."""
         return has_k4_minor(self.h)
 
     @cached_property
@@ -422,8 +419,8 @@ def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
 
 def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
     # a K_{3,3} forces complete multipartite here, but recognition is
-    # attempted unconditionally so plain multipartite graphs are also kept
-    # off the peel rule (which would waste a colour on them)
+    # attempted unconditionally so plain multipartite graphs are also
+    # coloured by their parts
     mp = recognize_complete_multipartite(s.h)
     if mp is not None and len(mp.parts) <= 4:
         return mp
@@ -455,49 +452,38 @@ def _whole_rich_square(s: _Scope) -> Optional[SquareLinkStructure]:
     })
 
 
-def _stray(h: Graph, emb: K12nEmbedding) -> Optional[tuple[int, int]]:
-    """First component outside the embedding that does not attach exactly at
-    {a} ∪ b, with its attachment; None when every component does."""
-    need = 1 << emb.a | mask_of(emb.b)
-    for cm, att in off_components(h, emb):
-        if att != need:
-            return cm, att
-    return None
+def _smallest_last(s: _Scope) -> Optional[list[int]]:
+    """The smallest-last order: each time the least vertex with at most
+    three neighbours left.  None when every vertex has four or more."""
+    adj, left, order = s.h.adj, s.h.vertex_mask, []
+    while True:
+        v = next((v for v in bits(left) if (adj[v] & left).bit_count() <= 3),
+                 None)
+        if v is None:
+            return order or None
+        order.append(v)
+        left &= ~(1 << v)
 
 
-def _k12n_detail(s: _Scope, emb: K12nEmbedding) -> dict:
-    return {"a": s.back[emb.a], "b": s.orig(emb.b), "c": s.orig(emb.c)}
+def _peels(h: Graph, order: list[int]) -> bool:
+    """Is order a non-empty sequence of distinct vertices of h, each with at
+    most three neighbours left when it is removed?"""
+    left = h.vertex_mask
+    for v in order:
+        if not left >> v & 1 or (h.adj[v] & left).bit_count() > 3:
+            return False
+        left &= ~(1 << v)
+    return bool(order)
 
 
-def _k12n(s: _Scope) -> Optional[K12nEmbedding]:
-    emb = find_maximal_k12n(s.h, 3) if s.k4_minor else None
-    if emb is None:
-        return None
-    stray = _stray(s.h, emb)
-    if stray is not None:
-        raise _Fail("hypothesis_violation", 7, s.mask, {
-            "expectation": "every component outside a maximal K_{1,2,n} "
-                           "must attach exactly at the K_{1,2} side",
-            "embedding": _k12n_detail(s, emb),
-            "component": sorted(s.orig(bits(stray[0]))),
-            "attachment": sorted(s.orig(bits(stray[1]))),
-        })
-    return emb
-
-
-def _peel(s: _Scope, emb: K12nEmbedding, sub) -> tuple[dict, dict]:
-    out = sub(s.h.vertex_mask & ~mask_of(emb.c))
-    free = min(set(range(4)) - {out[v] for v in (emb.a,) + emb.b})
-    out.update(dict.fromkeys(emb.c, free))
+def _peel(s: _Scope, order: list[int], sub) -> tuple[dict, dict]:
+    # each peeled vertex sees at most three vertices coloured before it:
+    # the rest and the vertices peeled after it
+    rest = s.h.vertex_mask & ~mask_of(order)
+    out = sub(rest) if rest else {}
+    for v in reversed(order):
+        out[v] = min(set(range(4)) - {out.get(u) for u in bits(s.h.adj[v])})
     return out, {}
-
-
-def _exact(s: _Scope) -> Coloring:
-    col = chromatic_number_exact(s.h, 4)
-    if col is None:
-        raise _Fail("chromatic_bound_exceeded", 8, s.mask,
-                    {"bound": 4, "vertices": list(bits(s.mask))})
-    return col
 
 
 # One entry per trace rule, in proof order.  find(s) gives a certificate in
@@ -555,29 +541,31 @@ _TABLE = (
                     for l in d["links"]),
               whole=True),
           apply=_leaf(lambda s, w: color_rich_square(s.h, w))),
-    _Rule("K12nPeel", find=_k12n, encode=_k12n_detail,
-          decode=lambda s, d: K12nEmbedding(s.index[d["a"]],
-                                            tuple(sorted(s.local(d["b"]))),
-                                            tuple(sorted(s.local(d["c"])))),
-          check=lambda s, emb: emb.validate(s.h) and _stray(s.h, emb) is None,
+    _Rule("LowDegreePeel", find=_smallest_last,
+          encode=lambda s, order: {"order": s.orig(order)},
+          decode=lambda s, d: s.local(d["order"]),
+          check=lambda s, order: _peels(s.h, order),
           apply=_peel),
-    # replay re-runs the exact search; a recorded k that differs leaves the
-    # colouring's palette wrong, which validate refuses
-    _Rule("ExactFallback", find=_exact,
-          encode=lambda s, col: {"k": col.k},
-          decode=lambda s, d: Coloring(_exact(s).color, d["k"]),
-          apply=_leaf(lambda s, col: col)),
 )
 RULES = tuple(rule.name for rule in _TABLE)
 
 
 def _first_rule(s: _Scope) -> tuple[_Rule, object]:
-    """Search: the first rule whose find succeeds, with its certificate."""
+    """Search: the first rule whose find succeeds, with its certificate.
+    With none, the scope is refused at rule 8, as needing five colours when
+    the exact search finds no 4-colouring."""
     for rule in _TABLE:
         cert = rule.find(s)
         if cert is not None:
             return rule, cert
-    raise AssertionError("ExactFallback always answers or raises")
+    if chromatic_number_exact(s.h, 4) is None:
+        raise _Fail("chromatic_bound_exceeded", 8, s.mask,
+                    {"bound": 4, "vertices": list(bits(s.mask))})
+    raise _Fail("hypothesis_violation", 8, s.mask, {
+        "expectation": "a graph with no cutset that is in no base class "
+                       "must have a vertex of degree at most 3",
+        "vertices": list(bits(s.mask)),
+    })
 
 
 def _recorded(steps) -> Callable:
@@ -708,9 +696,9 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
 
 def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     """Re-run the recorded rules, taking each certificate from the trace
-    instead of searching for it.  An ExactFallback step re-runs the exact
-    search, and a 2-cutset step whose resolution is recolor_* re-runs the
-    pair-constrained search on the recoloured block.
+    instead of searching for it.  Only a 2-cutset step whose resolution is
+    recolor_* searches: it re-runs the pair-constrained search on the
+    recoloured block.
 
     On the graph that produced the trace this reproduces the identical
     colouring; a trace that does not fit raises ValueError.

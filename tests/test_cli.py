@@ -50,6 +50,26 @@ def _entry_point_command():
             f"import sys; from {module} import {attr}; sys.exit({attr}())"]
 
 
+# `color D~{` (K5) byte for byte
+K5_REFUSAL = """{
+  "conjecture_counterexample": false,
+  "evidence": {
+    "bound": 4,
+    "vertices": [
+      0,
+      1,
+      2,
+      3,
+      4
+    ]
+  },
+  "failure": "chromatic_bound_exceeded",
+  "mode": "structural",
+  "rule": 8
+}
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -166,12 +186,20 @@ class TestColor:
     def test_structural_fallback_still_succeeds(self, capsys):
         code, doc = run(capsys, "color", "DUW")
         assert code == 0 and doc["k"] == 3
-        assert doc["trace"][-1]["rule"] == "ExactFallback"
+        assert doc["trace"][-1]["rule"] == "LowDegreePeel"
 
     def test_structural_bound_exceeded_on_k5(self, capsys):
-        code, doc = run(capsys, "color", "D~{")
-        assert code == 3
-        assert doc["failure"] == "chromatic_bound_exceeded"
+        assert main(["color", "D~{"]) == 3
+        assert capsys.readouterr().out == K5_REFUSAL
+
+    def test_structural_refusal_at_rule_8(self, capsys):
+        # minimum degree 4 and an ISK4, yet four colours suffice: outside
+        # the domain, not a bound exceeded
+        code = main(["color", "F|\\kw"])
+        captured = capsys.readouterr()
+        assert code == 2 and "domain" in captured.err
+        doc = json.loads(captured.out)
+        assert doc["failure"] == "hypothesis_violation" and doc["rule"] == 8
         assert doc["conjecture_counterexample"] is False
 
     def test_structural_domain_violation(self, capsys):

@@ -33,7 +33,8 @@ from isk4lab.decompose import (
 )
 from isk4lab.graphs import Graph, bits, has_k4_minor, mask_of, parse_graph6
 from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
-                              find_maximal_k12n, find_rich_square)
+                              find_maximal_k12n, find_rich_square,
+                              iter_maximal_k12n, off_components)
 from isk4lab.scan import enumerate_small
 
 from oracles import (brute_chromatic_number, dsatur_reference, has_isk4,
@@ -43,14 +44,16 @@ from test_patterns import C6, K4, K33, K123, K222, PRISM6, all_graphs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# ISK4-free graphs on 9 and 10 vertices that contain a K_{1,2,3}; the
-# recursion refuses each with a hypothesis_violation at rule 7 (ROADMAP
-# item 1)
+# ISK4-free graphs on 9 and 10 vertices that contain a K_{1,2,3}, each
+# with minimum degree 1 to 3
 PAST_N7 = tuple((FIXTURES / "past_n7.g6").read_text().split())
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 K5 = Graph.complete_multipartite([1] * 5)
+
+# minimum degree 4, an ISK4, four colours: no rule takes it
+ISK4_MIN_DEGREE_4 = parse_graph6("F|\\kw")
 
 # two K4's glued on a triangle: the triangle is a clique cutset
 TWO_K4 = Graph.from_edges(5, K4.edges() + [(4, 1), (4, 2), (4, 3)])
@@ -221,8 +224,8 @@ class TestRuleGates:
             assert first == 3 or _backtrack(g, first) is not None, g
 
     def test_gated_searches_do_not_run(self, monkeypatch):
-        # a K4-minor-free graph reaches no K33, prism, rich-square or
-        # K_{1,2,n} search, and an odd cycle's exact search starts at k = 3
+        # a K4-minor-free graph reaches no K33, prism, rich-square, K_{1,2,n}
+        # or exact search, and an odd cycle's exact search starts at k = 3
         calls = []
         for name in ("contains_fixed", "find_rich_square", "find_maximal_k12n",
                      "_backtrack"):
@@ -232,11 +235,24 @@ class TestRuleGates:
         g = list(kernel_graphs())[-1]
         assert not has_k4_minor(g)
         _, t = pipeline_ok(g)
-        assert "ExactFallback" in t.rules()
-        assert {name for name, _ in calls} == {"_backtrack"}
-        calls.clear()
+        assert "LowDegreePeel" in t.rules()
+        assert calls == []
         assert chromatic_number_exact(C5).k == 3
         assert calls == [("_backtrack", (3,))]
+
+    def test_k12n_peel_was_a_low_degree_peel(self):
+        # where every component off a maximal K_{1,2,n} (n >= 3) attaches
+        # exactly at {a} and b, each c vertex has only a, b_1 and b_2 as
+        # neighbours, so a peel of vertices of degree <= 3 takes it
+        met = 0
+        extra = [HOST124] + [parse_graph6(line) for line in PAST_N7]
+        for g in (*self.graphs(), *extra):
+            for emb in iter_maximal_k12n(g, 3):
+                need = 1 << emb.a | mask_of(emb.b)
+                if all(att == need for _, att in off_components(g, emb)):
+                    met += 1
+                    assert all(g.adj[c].bit_count() == 3 for c in emb.c), g
+        assert met > 50
 
     def test_first_levels(self):
         assert _first_level(Graph.empty(0)) == 0
@@ -249,9 +265,8 @@ class TestRuleGates:
 
 def test_kernel_graph_traces_are_pinned():
     # the seeded series-parallel graphs with n = 20..40: a sha256 over each
-    # graph's trace steps and colouring, taken from the code before the
-    # search gates (K4-minor-free scopes, chordless cycles, the exact
-    # search's first level), which change no byte of either
+    # graph's trace steps and colouring, taken when LowDegreePeel replaced
+    # the K_{1,2,n} peel and the exact fallback
     h = hashlib.sha256()
     for g in kernel_graphs():
         if g.n < 20:
@@ -261,7 +276,7 @@ def test_kernel_graph_traces_are_pinned():
                              for s in t.steps]).encode())
         h.update(json.dumps(c.color).encode())
     assert h.hexdigest() == \
-        "93941d9f0788876002754b2c8ec03deef851e91555f892b7ab82c972bbf237c2"
+        "63b8a179d041f0a295b56c6f31cfc31a76bac7a9adbcf9843f710653f4d6dc33"
 
 
 class TestMultipartiteColorer:
@@ -352,14 +367,16 @@ class TestPipelineExamples:
         assert t.steps[0].detail["cutset"] == [1, 2, 3]
 
     def test_k12n_peel_host(self):
+        # the K_{1,2,4}'s c side has degree 3, and the peel takes the rest
         assert contains_isk4(HOST124) is None
         c, t = pipeline_ok(HOST124)
-        assert "K12nPeel" in t.rules()
+        assert t.rules() == ["LowDegreePeel"]
+        assert set(t.steps[0].detail["order"][:4]) >= {3, 4, 5}
         assert chromatic_number_exact(HOST124).k <= c.k <= 4
 
-    def test_c5_exact_fallback(self):
+    def test_c5_low_degree_peel(self):
         c, t = pipeline_ok(C5)
-        assert c.k == 3 and t.rules() == ["ExactFallback"]
+        assert c.k == 3 and t.rules() == ["LowDegreePeel"]
 
     def test_prism_line_graph(self):
         c, t = pipeline_ok(PRISM6)
@@ -390,6 +407,16 @@ class TestPipelineExamples:
         assert isinstance(r, ColoringFailure)
         assert r.kind == "chromatic_bound_exceeded" and r.rule == 8
         assert not r.conjecture_counterexample
+
+    def test_min_degree_4_outside_the_rules_is_a_hypothesis_violation(self):
+        # four colours suffice, so the refusal names the broken hypothesis
+        g = ISK4_MIN_DEGREE_4
+        assert min(a.bit_count() for a in g.adj) == 4 and has_isk4(g)
+        assert chromatic_number_exact(g, 4) is not None
+        r = structural_four_coloring(g)
+        assert isinstance(r, ColoringFailure)
+        assert r.kind == "hypothesis_violation" and r.rule == 8
+        assert r.scope == g.vertex_mask and not r.conjecture_counterexample
 
     def test_split_refused_when_no_recolouring_fits(self):
         # neither block recolours to the other's relation on the cut pair, so
@@ -472,10 +499,37 @@ class TestTraceReplay:
         trace = ColoringTrace((
             TraceStep("Proper2CutsetSplit", g.vertex_mask,
                       {"a": 0, "b": 1, "x": [2, 3, 4], "y": [5, 6, 7, 8]}),
-            TraceStep("ExactFallback", mask_of([0, 1, 2, 3, 4]), {"k": 4}),
-            TraceStep("ExactFallback", mask_of([0, 1, 5, 6, 7, 8]), {"k": 4})))
-        with pytest.raises(ValueError):
+            TraceStep("Multipartite", mask_of([0, 1, 2, 3, 4]),
+                      {"parts": [[0, 1], [2], [3], [4]]}),
+            TraceStep("CliqueCutsetSplit", mask_of([0, 1, 5, 6, 7, 8]),
+                      {"cutset": [5, 6]}),
+            TraceStep("Trivial", mask_of([0, 5, 6])),
+            TraceStep("CliqueCutsetSplit", mask_of([1, 5, 6, 7, 8]),
+                      {"cutset": [7, 8]}),
+            TraceStep("Trivial", mask_of([1, 7, 8])),
+            TraceStep("Trivial", mask_of([5, 6, 7, 8]))))
+        with pytest.raises(ValueError, match="does not fit the graph"):
             replay_trace(g, trace)
+
+    @pytest.mark.parametrize("order", [
+        [3, 4, 1, 5, 0, 2, 6, 7, 8, 9],  # 1 has 0, 5, 6 and 7 left
+        [3, 4, 3, 5, 1, 0, 2, 6, 7, 8, 9],  # 3 twice
+        [3, 4, 5, 10],  # 10 is outside the scope
+        []])
+    def test_replay_rejects_wrong_peel_order(self, order):
+        _, t = pipeline_ok(HOST124)
+        head, = t.steps
+        bad = TraceStep("LowDegreePeel", head.scope, {"order": order})
+        with pytest.raises(ValueError):
+            replay_trace(HOST124, ColoringTrace((bad,)))
+
+    def test_replay_never_runs_the_exact_search(self, monkeypatch):
+        traces = [(g, out) for g in kernel_graphs()
+                  if isinstance(out := structural_four_coloring(g), tuple)]
+        assert any("LowDegreePeel" in t.rules() for _, (_, t) in traces)
+        monkeypatch.setattr(coloring, "chromatic_number_exact", None)
+        for g, (c, t) in traces:
+            assert replay_trace(g, t) == c
 
     @pytest.mark.parametrize("detail", [{"parts": 5}, {"parts": [[[0]]]}, None])
     def test_replay_malformed_detail_is_value_error(self, detail):
@@ -489,13 +543,18 @@ class TestTraceReplay:
 PINNED_TRACES = [
     (K123, [{"rule": "Multipartite", "scope": 63,
              "detail": {"parts": [[0], [1, 2], [3, 4, 5]]}}]),
-    (C5, [{"rule": "ExactFallback", "scope": 31, "detail": {"k": 3}}]),
-    (HOST124, [{"rule": "K12nPeel", "scope": 1023,
-                "detail": {"a": 0, "b": [1, 2], "c": [3, 4, 5, 6]}},
-               {"rule": "CliqueCutsetSplit", "scope": 903,
-                "detail": {"cutset": [0, 8]}},
-               {"rule": "Trivial", "scope": 387, "detail": {}},
-               {"rule": "Trivial", "scope": 773, "detail": {}}]),
+    (TWO_K4, [{"rule": "CliqueCutsetSplit", "scope": 31,
+               "detail": {"cutset": [1, 2, 3]}},
+              {"rule": "Trivial", "scope": 15, "detail": {}},
+              {"rule": "Trivial", "scope": 30, "detail": {}}]),
+    (C5, [{"rule": "LowDegreePeel", "scope": 31,
+           "detail": {"order": [0, 1, 2, 3, 4]}}]),
+    (HOST124, [{"rule": "LowDegreePeel", "scope": 1023,
+                "detail": {"order": [3, 4, 5, 1, 0, 2, 6, 7, 8, 9]}}]),
+    ("FlV}w", [{"rule": "LowDegreePeel", "scope": 127,
+                "detail": {"order": [2]}},
+               {"rule": "Multipartite", "scope": 123,
+                "detail": {"parts": [[0, 4], [1, 3], [5], [6]]}}]),
     (PRISM6, [{"rule": "SubcubicLineGraph", "scope": 63,
                "detail": {"root_n": 5,
                           "root_edges": [[0, 1], [0, 2], [0, 3], [1, 4],
@@ -517,11 +576,12 @@ PINNED_TRACES = [
                {"rule": "Trivial", "scope": 15, "detail": {}},
                {"rule": "Multipartite", "scope": 115,
                 "detail": {"parts": [[0, 1], [4, 5, 6]]}}]),
-    ("FMjE?", [{"rule": "Proper2CutsetSplit", "scope": 127,
-                "detail": {"a": 0, "b": 1, "x": [2, 3, 4], "y": [5, 6],
+    ("FlUJ_", [{"rule": "Proper2CutsetSplit", "scope": 127,
+                "detail": {"a": 1, "b": 3, "x": [0, 4, 5], "y": [2, 6],
                            "resolution": "recolor_y"}},
-               {"rule": "ExactFallback", "scope": 31, "detail": {"k": 3}},
-               {"rule": "Trivial", "scope": 99, "detail": {}}]),
+               {"rule": "Multipartite", "scope": 59,
+                "detail": {"parts": [[0, 4], [1, 3, 5]]}},
+               {"rule": "Trivial", "scope": 78, "detail": {}}]),
 ]
 
 
@@ -575,14 +635,13 @@ class TestPastN7:
         assert contains_isk4(g) is None and not has_isk4(g)
         assert contains_induced(g, K123) is not None
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the recursion "
-                       "refuses these at rule 7")
     @pytest.mark.parametrize("line", PAST_N7)
     def test_structural_colouring(self, line):
         g = parse_graph6(line)
         out = structural_four_coloring(g)
         assert isinstance(out, tuple), out
         assert out[0].k <= 4 and out[0].validate(g)
+        assert replay_trace(g, out[1]) == out[0]
 
 
 def test_recolor_starts_at_the_first_level(monkeypatch):
@@ -593,7 +652,7 @@ def test_recolor_starts_at_the_first_level(monkeypatch):
         return _backtrack(h, k, pair=pair, equal=equal)
 
     monkeypatch.setattr(coloring, "_backtrack", counted)
-    for line in ("F]rE?", "FMjE?"):
+    for line in ("F]rE?", "FlUJ_"):
         _, t = pipeline_ok(parse_graph6(line))
         assert t.steps[0].detail["resolution"].startswith("recolor_")
     assert any(paired for _, _, paired in calls)
@@ -640,6 +699,6 @@ class TestPieceMemo:
         pieces = {}
         for g in (K123, HOST124, C6, parse_graph6("F]rE?")):
             structural_four_coloring(g, pieces=pieces)
-        # HOST124's peel leaves a 6-vertex piece and F]rE?'s larger 2-cutset
-        # block has 5 vertices; every other scope is a top or has at most 4
-        assert sorted(len(key) for key in pieces) == [5, 6]
+        # F]rE?'s larger 2-cutset block has 5 vertices; every other scope
+        # is a top (HOST124 is peeled whole) or has at most 4
+        assert sorted(len(key) for key in pieces) == [5]

@@ -1,19 +1,24 @@
 """Metamorphic tests past n = 7, where the brute-force oracles stop: every
 yes/no answer and the chromatic number are properties of the graph, so a
-relabelled copy must get the same ones."""
+relabelled copy must get the same ones, and the structural recursion must
+colour every relabelling of an ISK4-free graph."""
 
 import random
 
 import pytest
 
-from isk4lab.coloring import chromatic_number_exact
+from isk4lab.coloring import (
+    chromatic_number_exact,
+    replay_trace,
+    structural_four_coloring,
+)
 from isk4lab.decompose import (
     find_clique_cutset,
     find_proper_2cutset,
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, has_k4_minor, is_hole
+from isk4lab.graphs import Graph, has_k4_minor, is_hole, parse_graph6
 from isk4lab.patterns import (
     contains_fixed,
     contains_induced,
@@ -22,7 +27,7 @@ from isk4lab.patterns import (
     find_rich_square,
 )
 
-from test_coloring import SQ_TWO_LINKS
+from test_coloring import PAST_N7, SQ_TWO_LINKS
 from test_patterns import K123
 
 
@@ -75,3 +80,19 @@ def profile(g):
 @pytest.mark.parametrize("g, perm", list(relabel_cases()))
 def test_relabelling_keeps_every_answer(g, perm):
     assert profile(g.relabel(perm)) == profile(g)
+
+
+ISK4_FREE_HOSTS = [parse_graph6(line) for line in PAST_N7] + \
+    [g for g, _ in relabel_cases() if contains_isk4(g) is None]
+
+
+@pytest.mark.parametrize("g", ISK4_FREE_HOSTS)
+def test_isk4_free_hosts_colour_on_every_relabelling(g):
+    rng = random.Random(g.code())
+    for _ in range(20):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        out = structural_four_coloring(h)
+        assert isinstance(out, tuple), (perm, out)
+        assert out[0].k <= 4 and replay_trace(h, out[1]) == out[0]
