@@ -2,11 +2,11 @@
 4-colouring recursion.
 
 `structural_four_coloring` applies the first matching rule at each level:
-trivial size, connectivity split, clique cutset, proper 2-cutset, complete
-multipartite, subcubic line graph / whole rich square, and a peel of the
-vertices of degree at most three, coloured last.  It returns the colouring
-together with a replayable trace of the applied rules, or a structured
-failure naming the expectation that broke.
+trivial size, clique cutset (the empty one on a disconnected graph), proper
+2-cutset, complete multipartite, subcubic line graph / whole rich square,
+and a peel of the vertices of degree at most three, coloured last.  It
+returns the colouring together with a replayable trace of the applied
+rules, or a structured failure naming the expectation that broke.
 
 Each trace rule is one entry of the rule table `_TABLE`.  Search and
 `replay_trace` run the same recursion over it and differ only in where a
@@ -98,25 +98,19 @@ class _Fail(Exception):
 # -- exact search ----------------------------------------------------------
 
 
-def _backtrack(h: Graph, k: int, pair: Optional[tuple[int, int]] = None,
-               equal: bool = False) -> Optional[list[int]]:
+def _backtrack(h: Graph, k: int) -> Optional[list[int]]:
     """First k-colouring under saturation-degree ordering, or None.
 
     The next vertex is the uncoloured one with the largest key (saturation,
     degree, -v).  Colours are tried ascending and capped at one above the
     count already used, which is sound: any colouring can be renamed into
-    that form, and the optional pair constraint (colour equality or
-    inequality on two vertices) is invariant under renaming.
+    that form.
 
     sees[c] is the mask of vertices with a neighbour coloured c: a vertex
     taking colour c adds its neighbourhood, and backtracking restores the
     mask.  An uncoloured vertex's saturation is the number of colours c <
     used whose mask holds it, and those colours are the ones it may not take.
     The key is packed into one int, sat * n^2 + degree * n + (n - 1 - v).
-
-    With equal=True a branch dies as soon as one end of the pair has a
-    colour d that the other, uncoloured end sees: masks only grow below a
-    node, so no colouring lies under it and the first one found is the same.
     """
     n = h.n
     col = [-1] * n
@@ -124,17 +118,10 @@ def _backtrack(h: Graph, k: int, pair: Optional[tuple[int, int]] = None,
     sees = [0] * k
     step = n * n
     base = [adj[v].bit_count() * n + n - 1 - v for v in range(n)]
-    tie = pair if equal else None
 
     def go(free: int, used: int) -> bool:
         if not free:
             return True
-        if tie is not None:
-            a, b = tie
-            ca, cb = col[a], col[b]
-            if ca >= 0 > cb and sees[ca] >> b & 1 or \
-                    cb >= 0 > ca and sees[cb] >> a & 1:
-                return False
         bkey = -1
         rest = free
         while rest:
@@ -148,13 +135,8 @@ def _backtrack(h: Graph, k: int, pair: Optional[tuple[int, int]] = None,
             if key > bkey:
                 best, bkey = v, key
         v, low = best, 1 << best
-        other = -1
-        if pair is not None and v in pair:
-            other = pair[1] if v == pair[0] else pair[0]
         for c in range(min(k, used + 1)):
             if sees[c] & low:
-                continue
-            if other >= 0 and col[other] >= 0 and equal != (c == col[other]):
                 continue
             col[v] = c
             kept = sees[c]
@@ -202,14 +184,12 @@ def _first_level(g: Graph) -> int:
     return 2
 
 
-def _least(h: Graph, hi: int, pair: Optional[tuple[int, int]] = None,
-           equal: bool = False) -> Optional[list[int]]:
+def _least(h: Graph, hi: int) -> Optional[list[int]]:
     """Iterative deepening: the first _backtrack colouring for k =
-    _first_level(h) .. hi, or None.  The levels skipped have no colouring
-    (a pair constraint only narrows the colourings), so the first colouring
-    found is the same."""
+    _first_level(h) .. hi, or None.  The levels skipped have no colouring,
+    so the first colouring found is the same."""
     for k in range(_first_level(h), hi + 1):
-        raw = _backtrack(h, k, pair=pair, equal=equal)
+        raw = _backtrack(h, k)
         if raw is not None:
             return raw
     return None
@@ -386,12 +366,28 @@ def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> tuple[dict, dict]:
     return merged, {}
 
 
-def _recolor(h: Graph, block: int, pair: tuple[int, int],
+def _recolor(h: Graph, block: int, a: int, b: int,
              equal: bool) -> Optional[dict[int, int]]:
-    """Cheapest colouring of h[block] with the pair relation imposed, bound 4."""
-    hb, bb = induced_subgraph(h, block)
-    raw = _least(hb, 4, (bb.index(pair[0]), bb.index(pair[1])), equal)
-    return None if raw is None else dict(zip(bb, raw))
+    """Cheapest colouring of h[block] in which the non-adjacent a and b agree
+    (equal) or differ, bound 4.  For "differ" the edge ab is added; for
+    "agree" b is merged into a, which takes b's neighbours, and b then gets
+    a's colour.  Either edit turns the relation into plain colouring."""
+    adj = list(h.adj)
+    if equal:
+        join, block = adj[b], block & ~(1 << b)
+    else:
+        join = 1 << b
+    adj[a] |= join
+    for u in bits(join):
+        adj[u] |= 1 << a
+    hb, bb = induced_subgraph(Graph(h.n, adj), block)
+    raw = _least(hb, 4)
+    if raw is None:
+        return None
+    out = dict(zip(bb, raw))
+    if equal:
+        out[b] = out[a]
+    return out
 
 
 def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
@@ -408,7 +404,7 @@ def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
     if pc.x.bit_count() > pc.y.bit_count():
         tries.reverse()
     for block, kept, res in tries:
-        redo = _recolor(s.h, block, (a, b), equal=kept[a] == kept[b])
+        redo = _recolor(s.h, block, a, b, kept[a] == kept[b])
         if redo is not None:
             return _merge(kept, redo, (a, b)), {"resolution": res}
     # h has no 4-colouring: one would give both blocks the same relation on
@@ -525,9 +521,7 @@ _TABLE = (
     _Rule("SubcubicLineGraph",
           find=lambda s: None if s.prism_or_rich is None
           else recognize_line_graph_subcubic(s.h),
-          encode=lambda s, lg: {"root_n": lg.root.n,
-                                "root_edges": [list(e) for e in lg.root.edges()],
-                                "edge_of": [list(e) for e in lg.edge_of]},
+          encode=lambda s, lg: {"edge_of": [list(e) for e in lg.edge_of]},
           decode=lambda s, d: SubcubicRootCert(
               tuple(tuple(e) for e in d["edge_of"])),
           apply=_leaf(lambda s, lg: color_subcubic_line_graph(s.h, lg))),
@@ -605,11 +599,13 @@ def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
            steps: list, after: Optional[list[int]] = None,
            pieces: Optional[dict] = None) -> list[int]:
     """Colour h, whose vertex i is g's vertex back[i], and return the
-    colouring in h's ids, renumbered by first occurrence.  Rules come from
-    pick; each applied step goes to steps in pre-order as (ids, rule, cert,
-    outcome): the scope's _Ids, its certificate in its own ids and what
-    apply recorded.  sub(m) induces h[m] from h, so the vertex maps compose,
-    and returns its colouring keyed by h's ids.
+    colouring in h's ids, renumbered by first occurrence.  The rule comes
+    from pick, and its step goes to steps, in pre-order, as (ids, rule,
+    cert, outcome): the scope's _Ids, its certificate in its own ids and
+    what apply recorded.  So each call but a memo hit writes one step, a
+    disconnected h included: its rule is the empty clique cutset.  sub(m)
+    induces h[m] from h, so the vertex maps compose, and returns its
+    colouring keyed by h's ids.
 
     With pieces, a scope below the top with more than four vertices is
     looked up by its adjacency.  A hit re-emits the stored steps through
@@ -635,18 +631,11 @@ def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
         return dict(zip(vmap, _solve(piece, [back[v] for v in vmap],
                                      depth + 1, pick, steps, after, pieces)))
 
-    # past Trivial, colour components independently, palettes overlapping
-    comps = components(h) if h.n > 4 else []
-    if len(comps) > 1:
-        col: dict[int, int] = {}
-        for cm in comps:
-            col.update(sub(cm))
-    else:
-        rule, cert = pick(s)
-        outcome: dict = {}
-        steps.append((s, rule, cert, outcome))
-        col, done = rule.apply(s, cert, sub)
-        outcome.update(done)
+    rule, cert = pick(s)
+    outcome: dict = {}
+    steps.append((s, rule, cert, outcome))
+    col, done = rule.apply(s, cert, sub)
+    outcome.update(done)
     canon = _canon_list(col[v] for v in range(h.n))
     assert max(canon, default=0) < 4
     if key is not None:
@@ -697,8 +686,7 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
 def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     """Re-run the recorded rules, taking each certificate from the trace
     instead of searching for it.  Only a 2-cutset step whose resolution is
-    recolor_* searches: it re-runs the pair-constrained search on the
-    recoloured block.
+    recolor_* searches: it re-runs the exact search on the edited block.
 
     On the graph that produced the trace this reproduces the identical
     colouring; a trace that does not fit raises ValueError.

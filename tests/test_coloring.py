@@ -4,6 +4,7 @@ structural recursion with its replayable traces."""
 import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -31,7 +32,8 @@ from isk4lab.decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, bits, has_k4_minor, mask_of, parse_graph6
+from isk4lab.graphs import (Graph, bits, has_k4_minor, induced_subgraph,
+                            mask_of, parse_graph6)
 from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
                               find_maximal_k12n, find_rich_square,
                               iter_maximal_k12n, off_components)
@@ -57,6 +59,10 @@ ISK4_MIN_DEGREE_4 = parse_graph6("F|\\kw")
 
 # two K4's glued on a triangle: the triangle is a clique cutset
 TWO_K4 = Graph.from_edges(5, K4.edges() + [(4, 1), (4, 2), (4, 3)])
+
+# two K4's side by side: the empty clique cutset
+TWO_K4_APART = Graph.from_edges(8, K4.edges()
+                                + [(u + 4, v + 4) for u, v in K4.edges()])
 
 # K_{1,2,4} with a three-vertex path component attached at {a, b_1, b_2}:
 # the path ends see b_1 and b_2, the middle vertex sees a
@@ -166,33 +172,49 @@ class TestChromaticNumberExact:
 class TestBacktrackAgainstReference:
     def test_identical_colourings(self):
         # the colour-mask DSATUR against the set-based one: same first
-        # colouring or the same None, with and without a pair constraint
-        # (every pair up to n = 5, so the cut of dead equal=True branches is
-        # seen to keep the first colouring); the large graphs take the pair
-        # of their proper 2-cutset, as the recursion's recolouring does
+        # colouring or the same None
         for g in kernel_graphs():
-            pairs = [None]
-            if g.n <= 5:
-                pairs += combinations(range(g.n), 2)
-            elif g.n == 6:
-                pairs.append((g.n - 1, g.code() % (g.n - 1)))
-            else:
-                pc = find_proper_2cutset(g)
-                pairs += [(pc.a, pc.b), (pc.b, pc.a)]
             for k in range(1, 5):
-                for pair in pairs:
-                    for equal in (False, True) if pair else (False,):
-                        assert _backtrack(g, k, pair, equal) == \
-                            dsatur_reference(g, k, pair, equal), (g, k, pair, equal)
+                assert _backtrack(g, k) == dsatur_reference(g, k), (g, k)
 
-    def test_equal_pair_with_spare_colours(self):
-        # four colours leave room to colour far past a pair that can no
-        # longer agree; the cut ends those branches at once
-        g = list(kernel_graphs())[-1]
-        assert g.n == 40
-        col = _backtrack(g, 4, (1, 20), equal=True)
-        assert col is not None and col[1] == col[20]
-        assert Coloring(tuple(col), 1 + max(col)).validate(g)
+    @staticmethod
+    def recolourings():
+        """(host, block, a, b): every non-adjacent pair of every graph with
+        n <= 5 on the whole graph, and both blocks of each kernel graph's
+        proper 2-cutset, as the recursion's recolouring takes them."""
+        for n in range(6):
+            for g in all_graphs(n):
+                for a, b in combinations(range(n), 2):
+                    if not g.has_edge(a, b):
+                        yield g, g.vertex_mask, a, b
+        for g in kernel_graphs():
+            pc = find_proper_2cutset(g)
+            if pc is not None:
+                for side in (pc.x, pc.y):
+                    yield g, side | 1 << pc.a | 1 << pc.b, pc.a, pc.b
+
+    def test_recolor_against_the_pair_constrained_oracle(self):
+        # the edited block's least colouring against the oracle's pair
+        # constraint: the same refusals, and where there is a colouring, a
+        # proper one that meets the relation with the least colour count
+        met = 0
+        for g, block, a, b in self.recolourings():
+            hb, bb = induced_subgraph(g, block)
+            pair = (bb.index(a), bb.index(b))
+            for equal in (False, True):
+                got = coloring._recolor(g, block, a, b, equal)
+                least = next((k for k in range(1, 5) if dsatur_reference(
+                    hb, k, pair, equal) is not None), None)
+                assert (got is None) == (least is None), (g, block, a, b, equal)
+                if got is None:
+                    continue
+                met += 1
+                assert sorted(got) == bb
+                assert all(got[u] != got[v] for u, v in g.edges()
+                           if block >> u & block >> v & 1)
+                assert (got[a] == got[b]) == equal
+                assert len(set(got.values())) == least
+        assert met > 10000
 
 
 class TestRuleGates:
@@ -388,11 +410,12 @@ class TestPipelineExamples:
         assert c.k == 4 and t.rules() == ["RichSquare"]
 
     def test_disconnected_reuses_colors(self):
-        g = Graph.from_edges(8, K4.edges() + [(u + 4, v + 4) for u, v in K4.edges()])
-        c, t = pipeline_ok(g)
+        # a disconnected graph splits at the empty clique cutset
+        c, t = pipeline_ok(TWO_K4_APART)
         assert c.k == 4
-        assert t.rules() == ["Trivial", "Trivial"]
-        assert [s.scope for s in t.steps] == [0x0F, 0xF0]
+        assert t.rules() == ["CliqueCutsetSplit", "Trivial", "Trivial"]
+        assert t.steps[0].detail["cutset"] == []
+        assert [s.scope for s in t.steps] == [0xFF, 0x0F, 0xF0]
 
     def test_empty_graph(self):
         c, t = pipeline_ok(Graph.from_edges(0, []))
@@ -468,17 +491,11 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             replay_trace(K123, bad)
 
-    @pytest.mark.parametrize("change", [
-        {"root_n": 6},
-        {"root_edges": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 5]]}])
-    def test_replay_rejects_tampered_root(self, change):
-        # decode reads only edge_of; re-encoding gives the true root back
-        _, t = pipeline_ok(PRISM6)
-        head, = t.steps
-        assert head.rule == "SubcubicLineGraph"
-        bad = TraceStep(head.rule, head.scope, {**head.detail, **change})
-        with pytest.raises(ValueError, match="differs from its replay"):
-            replay_trace(PRISM6, ColoringTrace((bad,)))
+    def test_replay_rejects_a_missing_empty_cutset_step(self):
+        _, t = pipeline_ok(TWO_K4_APART)
+        assert t.steps[0].detail == {"cutset": []}
+        with pytest.raises(ValueError):
+            replay_trace(TWO_K4_APART, ColoringTrace(t.steps[1:]))
 
     def test_replay_rejects_wrong_graph(self):
         _, t = pipeline_ok(K123)
@@ -538,6 +555,75 @@ class TestTraceReplay:
                 (TraceStep("Multipartite", 0x3F, detail),)))
 
 
+def perturb(value, rng):
+    """value with one leaf changed, or one list element dropped."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return rng.choice((value - 1, value + 1, 2 * value + 1))
+    if isinstance(value, str):
+        return rng.choice(("agree", "recolor_x", "recolor_y", ""))
+    if isinstance(value, dict) and value:
+        key = rng.choice(sorted(value))
+        return {**value, key: perturb(value[key], rng)}
+    if isinstance(value, list) and value:
+        i = rng.randrange(len(value))
+        if rng.random() < 0.2:
+            return value[:i] + value[i + 1:]
+        return value[:i] + [perturb(value[i], rng)] + value[i + 1:]
+    return [0]
+
+
+def mutate(steps, n, rng):
+    """steps with one seeded mutation: a rule name swapped, a scope bit
+    flipped, a detail value perturbed or a detail key dropped, or a step
+    dropped or duplicated (also when the detail has no key to drop)."""
+    steps = list(steps)
+    i = rng.randrange(len(steps))
+    st = steps[i]
+    kind = rng.randrange(6)
+    if kind == 0:
+        steps[i] = replace(st, rule=rng.choice([r for r in RULES
+                                                if r != st.rule]))
+    elif kind == 1:
+        steps[i] = replace(st, scope=st.scope ^ 1 << rng.randrange(n + 1))
+    elif kind == 2:
+        steps[i] = replace(st, detail=perturb(st.detail, rng))
+    elif kind == 3 and st.detail:
+        key = rng.choice(sorted(st.detail))
+        steps[i] = replace(st, detail={k: v for k, v in st.detail.items()
+                                       if k != key})
+    elif kind == 4:
+        del steps[i]
+    else:
+        steps.insert(i, st)
+    return ColoringTrace(tuple(steps))
+
+
+def test_mutated_traces_raise_only_value_error():
+    # seeded mutations of real traces: replay either refuses with
+    # ValueError or returns a proper colouring
+    fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
+    traces = []
+    for line in fixture[:300] + list(PAST_N7):
+        g = parse_graph6(line)
+        out = structural_four_coloring(g)
+        if isinstance(out, tuple):
+            traces.append((g, out[1]))
+    rng = random.Random(17)
+    refused = 0
+    for _ in range(2000):
+        g, t = rng.choice(traces)
+        bad = mutate(t.steps, g.n, rng)
+        try:
+            c = replay_trace(g, bad)
+        except ValueError:
+            refused += 1
+            continue
+        assert c.validate(g), (g, bad)
+    assert refused > 1500
+
+
 # the trace each rule writes, pinned to the exact JSON: rule, scope, detail
 # keys in insertion order
 PINNED_TRACES = [
@@ -547,6 +633,10 @@ PINNED_TRACES = [
                "detail": {"cutset": [1, 2, 3]}},
               {"rule": "Trivial", "scope": 15, "detail": {}},
               {"rule": "Trivial", "scope": 30, "detail": {}}]),
+    (TWO_K4_APART, [{"rule": "CliqueCutsetSplit", "scope": 255,
+                     "detail": {"cutset": []}},
+                    {"rule": "Trivial", "scope": 15, "detail": {}},
+                    {"rule": "Trivial", "scope": 240, "detail": {}}]),
     (C5, [{"rule": "LowDegreePeel", "scope": 31,
            "detail": {"order": [0, 1, 2, 3, 4]}}]),
     (HOST124, [{"rule": "LowDegreePeel", "scope": 1023,
@@ -556,10 +646,7 @@ PINNED_TRACES = [
                {"rule": "Multipartite", "scope": 123,
                 "detail": {"parts": [[0, 4], [1, 3], [5], [6]]}}]),
     (PRISM6, [{"rule": "SubcubicLineGraph", "scope": 63,
-               "detail": {"root_n": 5,
-                          "root_edges": [[0, 1], [0, 2], [0, 3], [1, 4],
-                                         [2, 4], [3, 4]],
-                          "edge_of": [[0, 1], [0, 2], [0, 3], [1, 4],
+               "detail": {"edge_of": [[0, 1], [0, 2], [0, 3], [1, 4],
                                       [2, 4], [3, 4]]}}]),
     (SQ_TWO_LINKS, [{"rule": "RichSquare", "scope": 255,
                      "detail": {"square": [0, 1, 2, 3],
@@ -645,18 +732,19 @@ class TestPastN7:
 
 
 def test_recolor_starts_at_the_first_level(monkeypatch):
+    # the exact search runs here only for the recolourings
     calls = []
 
-    def counted(h, k, pair=None, equal=False):
-        calls.append((k, _first_level(h), pair is not None))
-        return _backtrack(h, k, pair=pair, equal=equal)
+    def counted(h, k):
+        calls.append((k, _first_level(h)))
+        return _backtrack(h, k)
 
     monkeypatch.setattr(coloring, "_backtrack", counted)
     for line in ("F]rE?", "FlUJ_"):
         _, t = pipeline_ok(parse_graph6(line))
         assert t.steps[0].detail["resolution"].startswith("recolor_")
-    assert any(paired for _, _, paired in calls)
-    assert all(k >= first for k, first, _ in calls)
+    assert calls
+    assert all(k >= first for k, first in calls)
 
 
 def memo_parity(lines, pieces):
