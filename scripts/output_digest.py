@@ -16,7 +16,8 @@ from the working tree.  The families:
 - ``color`` (structural, exact, exact ``--bound 3``), ``decompose``,
   ``detect`` (seven patterns) and ``check-lemma`` (three ids): each
   command's stdout and exit code on the first 3,000 fixture lines plus
-  the ``past_n7.g6`` graphs;
+  the ``past_n7.g6`` and ``four_cores.g6`` graphs (the colouring's
+  ``SubcubicLineGraph`` rule colours none of the other inputs);
 - ``attachments``: the tag and witness of both attachment classifiers on
   every maximal K_{1,2,n} of those graphs;
 - ``ladder``: colouring, trace and ``replay_trace`` of 330 seeded
@@ -70,6 +71,7 @@ def digests(limit: int | None = None) -> dict[str, str]:
 
     fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
     past = (FIXTURES / "past_n7.g6").read_text().split()
+    cores = (FIXTURES / "four_cores.g6").read_text().split()
     universe = [x for n in range(1, 7) for x in scan.enumerate_small(n)]
     fam = {name: hashlib.sha256() for name in FAMILIES}
 
@@ -92,7 +94,7 @@ def digests(limit: int | None = None) -> dict[str, str]:
                     "rich-square")],
         "check-lemma": [["check-lemma", "--id", i] for i in lemmas.LEMMA_IDS],
     }
-    for line in cap(fixture, 3000) + past:
+    for line in cap(fixture, 3000) + past + cores:
         for name, argvs in commands.items():
             for argv in argvs:
                 add(name, _cli(cli, argv, line))

@@ -3,10 +3,10 @@
 
 `structural_four_coloring` applies the first matching rule at each level:
 trivial size, clique cutset (the empty one on a disconnected graph), proper
-2-cutset, complete multipartite, subcubic line graph / whole rich square,
-and a peel of the vertices of degree at most three, coloured last.  It
-returns the colouring together with a replayable trace of the applied
-rules, or a structured failure naming the expectation that broke.
+2-cutset, a peel of the vertices of degree at most three, coloured last,
+then on what is left, a 4-core, complete multipartite and subcubic line
+graph.  It returns the colouring together with a replayable trace of the
+applied rules, or a structured failure naming the expectation that broke.
 
 Each trace rule is one entry of the rule table `_TABLE`.  Search and
 `replay_trace` run the same recursion over it and differ only in where a
@@ -30,15 +30,13 @@ from .decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from .graphs import Graph, bits, components, has_k4_minor, induced_subgraph, mask_of
+from .graphs import Graph, bits, components, induced_subgraph, mask_of
 from .patterns import (
-    SquareLink,
     SquareLinkStructure,
     contains_fixed,
     contains_isk4,
     find_maximal_k12n,  # noqa: F401  bench/trace.py rebinds it here
     find_rich_square,
-    iter_rich_squares,
 )
 
 
@@ -303,21 +301,6 @@ class _Scope(_Ids):
     def index(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.back)}
 
-    @cached_property
-    def k4_minor(self) -> bool:
-        """Does h have a K4 minor?  Without one, rules 5 and 6 find
-        nothing: K33, a prism and a rich square (a centre link gives a W4, a
-        path link a subdivided prism) each have a K4 minor."""
-        return has_k4_minor(self.h)
-
-    @cached_property
-    def prism_or_rich(self):
-        """Rule 6's gate, shared by its two rules: None or (prism, rich)."""
-        if not self.k4_minor:
-            return None
-        prism, rich = contains_fixed(self.h, "prism"), find_rich_square(self.h)
-        return None if prism is None and rich is None else (prism, rich)
-
 
 def _merge(base: dict[int, int], other: dict[int, int],
            shared: Iterable[int]) -> dict[int, int]:
@@ -420,7 +403,7 @@ def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
     mp = recognize_complete_multipartite(s.h)
     if mp is not None and len(mp.parts) <= 4:
         return mp
-    k33 = contains_fixed(s.h, "K33") if s.k4_minor else None
+    k33 = contains_fixed(s.h, "K33")
     if k33 is not None:
         raise _Fail("hypothesis_violation", 5, s.mask, {
             "expectation": "with K_{3,3} present and no clique cutset the "
@@ -432,17 +415,19 @@ def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
     return None
 
 
-def _whole_rich_square(s: _Scope) -> Optional[SquareLinkStructure]:
-    if s.prism_or_rich is None:
+def _line_graph(s: _Scope) -> Optional[SubcubicRootCert]:
+    # a whole rich square on a 4-core has only centre links, so it is a
+    # K_{2,2,m}, which rule 5 has taken
+    prism, rich = contains_fixed(s.h, "prism"), find_rich_square(s.h)
+    if prism is None and rich is None:
         return None
-    whole = next((r for r in iter_rich_squares(s.h) if r.whole), None)
-    if whole is not None:
-        return whole
-    prism, rich = s.prism_or_rich
+    lg = recognize_line_graph_subcubic(s.h)
+    if lg is not None:
+        return lg
     raise _Fail("hypothesis_violation", 6, s.mask, {
         "expectation": "with a prism or rich square present and no "
                        "cutset the graph must be the line graph of a "
-                       "max-degree-3 graph or a whole rich square",
+                       "max-degree-3 graph",
         "prism_vertices": None if prism is None else sorted(s.orig(prism.mapping)),
         "square": None if rich is None else s.orig(rich.square),
     })
@@ -512,34 +497,22 @@ _TABLE = (
                                             mask_of(s.local(d["x"])),
                                             mask_of(s.local(d["y"]))),
           apply=_split_p2c),
+    _Rule("LowDegreePeel", find=_smallest_last,
+          encode=lambda s, order: {"order": s.orig(order)},
+          decode=lambda s, d: s.local(d["order"]),
+          check=lambda s, order: _peels(s.h, order),
+          apply=_peel),
     _Rule("Multipartite", find=_multipartite,
           encode=lambda s, mp: {"parts": [s.orig(bits(p)) for p in mp.parts]},
           decode=lambda s, d: MultipartiteCert(
               tuple(mask_of(s.local(part)) for part in d["parts"])),
           check=lambda s, mp: len(mp.parts) <= 4 and mp.validate(s.h),
           apply=_leaf(lambda s, mp: color_complete_multipartite(mp))),
-    _Rule("SubcubicLineGraph",
-          find=lambda s: None if s.prism_or_rich is None
-          else recognize_line_graph_subcubic(s.h),
+    _Rule("SubcubicLineGraph", find=_line_graph,
           encode=lambda s, lg: {"edge_of": [list(e) for e in lg.edge_of]},
           decode=lambda s, d: SubcubicRootCert(
               tuple(tuple(e) for e in d["edge_of"])),
           apply=_leaf(lambda s, lg: color_subcubic_line_graph(s.h, lg))),
-    _Rule("RichSquare", find=_whole_rich_square,
-          encode=lambda s, w: {"square": s.orig(w.square),
-                               "links": [{"path": s.orig(l.path),
-                                          "center": l.center} for l in w.links]},
-          decode=lambda s, d: SquareLinkStructure(
-              tuple(s.local(d["square"])),
-              tuple(SquareLink(tuple(s.local(l["path"])), l["center"])
-                    for l in d["links"]),
-              whole=True),
-          apply=_leaf(lambda s, w: color_rich_square(s.h, w))),
-    _Rule("LowDegreePeel", find=_smallest_last,
-          encode=lambda s, order: {"order": s.orig(order)},
-          decode=lambda s, d: s.local(d["order"]),
-          check=lambda s, order: _peels(s.h, order),
-          apply=_peel),
 )
 RULES = tuple(rule.name for rule in _TABLE)
 

@@ -177,7 +177,7 @@ class TestColor:
         assert captured.out == "" and captured.err.startswith("error:")
 
     def test_structural_multipartite(self, capsys):
-        code, doc = run(capsys, "color", write_graph6(K123))
+        code, doc = run(capsys, "color", write_graph6(K222))
         assert code == 0
         assert doc["k"] == 3
         assert [s["rule"] for s in doc["trace"]] == ["Multipartite"]
@@ -203,8 +203,9 @@ class TestColor:
         assert doc["conjecture_counterexample"] is False
 
     def test_structural_domain_violation(self, capsys):
+        # K_{4,4} plus an edge: minimum degree 4, a K33, not multipartite
         host = write_graph6(Graph.from_edges(
-            7, K33.edges() + [(6, 0), (6, 1)]))
+            8, Graph.complete_multipartite([4, 4]).edges() + [(0, 1)]))
         code = main(["color", host])
         captured = capsys.readouterr()
         assert code == 2

@@ -36,7 +36,8 @@ from isk4lab.graphs import (Graph, bits, has_k4_minor, induced_subgraph,
                             mask_of, parse_graph6)
 from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
                               find_maximal_k12n, find_rich_square,
-                              iter_maximal_k12n, off_components)
+                              iter_maximal_k12n, iter_rich_squares,
+                              off_components)
 from isk4lab.scan import enumerate_small
 
 from oracles import (brute_chromatic_number, dsatur_reference, has_isk4,
@@ -50,12 +51,30 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # with minimum degree 1 to 3
 PAST_N7 = tuple((FIXTURES / "past_n7.g6").read_text().split())
 
+# minimum degree 4: K222 and K_{2,2,3}, the line graphs of K33, the prism,
+# the cube, the Moebius ladder on 8 vertices and Petersen (all ISK4-free),
+# then the refusals at rules 5, 6 and 8 (each with an ISK4)
+FOUR_CORES = tuple((FIXTURES / "four_cores.g6").read_text().split())
+
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 K5 = Graph.complete_multipartite([1] * 5)
 
 # minimum degree 4, an ISK4, four colours: no rule takes it
 ISK4_MIN_DEGREE_4 = parse_graph6("F|\\kw")
+
+# K_{2,2,3}: minimum degree 4, with an induced K_{1,2,3}
+K223 = Graph.complete_multipartite([2, 2, 3])
+
+# the line graph of the prism: 4-regular, ISK4-free
+L_PRISM = parse_graph6("HwC\\mpk")
+
+# K_{4,4} plus an edge in one side: a K33, no cutset, not multipartite
+K44_PLUS_EDGE = Graph.from_edges(
+    8, Graph.complete_multipartite([4, 4]).edges() + [(0, 1)])
+
+# minimum degree 4 with a prism, no cutset, not a line graph
+PRISM_NOT_LINE = parse_graph6("Fnupw")
 
 # two K4's glued on a triangle: the triangle is a clique cutset
 TWO_K4 = Graph.from_edges(5, K4.edges() + [(4, 1), (4, 2), (4, 3)])
@@ -69,7 +88,8 @@ TWO_K4_APART = Graph.from_edges(8, K4.edges()
 HOST124 = Graph.from_edges(10, Graph.complete_multipartite([1, 2, 4]).edges()
                            + [(1, 7), (7, 8), (8, 9), (9, 2), (8, 0)])
 
-# a square with two 2-vertex links: a whole rich square, not a line graph
+# a square with two 2-vertex links: a whole rich square, not a line graph;
+# each link end has degree 3
 SQ_TWO_LINKS = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                                     (4, 0), (4, 1), (5, 2), (5, 3), (4, 5),
                                     (6, 0), (6, 1), (7, 2), (7, 3), (6, 7)])
@@ -246,8 +266,9 @@ class TestRuleGates:
             assert first == 3 or _backtrack(g, first) is not None, g
 
     def test_gated_searches_do_not_run(self, monkeypatch):
-        # a K4-minor-free graph reaches no K33, prism, rich-square, K_{1,2,n}
-        # or exact search, and an odd cycle's exact search starts at k = 3
+        # a K4-minor-free graph is peeled before rule 5, so it reaches no
+        # K33, prism, rich-square, K_{1,2,n} or exact search, and an odd
+        # cycle's exact search starts at k = 3
         calls = []
         for name in ("contains_fixed", "find_rich_square", "find_maximal_k12n",
                      "_backtrack"):
@@ -283,6 +304,48 @@ class TestRuleGates:
         assert _first_level(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4),
                                                  (2, 4)])) == 3
         assert _first_level(K4) == 3
+
+
+class TestFourCores:
+    """The premises of peeling before rules 5 and 6: those rules see only
+    4-cores, which have a K4 minor, and a whole rich square that is a
+    4-core is complete multipartite."""
+
+    def test_rules_5_and_6_see_only_four_cores(self, monkeypatch):
+        # with at least five vertices and minimum degree >= 4 a scope has a
+        # K4 minor (Dirac), so rules 5 and 6 need no K4-minor gate
+        seen = {"Multipartite": 0, "SubcubicLineGraph": 0}
+
+        def watched(rule):
+            def find(s):
+                seen[rule.name] += 1
+                assert min(a.bit_count() for a in s.h.adj) >= 4, s.h
+                assert has_k4_minor(s.h), s.h
+                return rule.find(s)
+            return rule._replace(find=find)
+
+        monkeypatch.setattr(coloring, "_TABLE", tuple(
+            watched(r) if r.name in seen else r for r in coloring._TABLE))
+        fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
+        universe = [x for n in range(1, 7) for x in enumerate_small(n)]
+        for line in universe + fixture[:3000] + list(PAST_N7) + list(FOUR_CORES):
+            structural_four_coloring(parse_graph6(line))
+        assert all(seen.values()), seen
+
+    def test_whole_rich_squares_are_multipartite(self):
+        # a path link's ends have degree 3, so on minimum degree >= 4 every
+        # link is a centre: the graph is K_{2,2,m}, which rule 5 takes
+        met = 0
+        hosts = [Graph.complete_multipartite([2, 2, m]) for m in range(2, 6)]
+        for g in (*hosts, *(g for n in range(7) for g in all_graphs(n))):
+            if g.n < 5 or min(a.bit_count() for a in g.adj) < 4:
+                continue
+            for r in iter_rich_squares(g):
+                if r.whole:
+                    met += 1
+                    mp = recognize_complete_multipartite(g)
+                    assert mp is not None and len(mp.parts) <= 4, g
+        assert met >= 4
 
 
 def test_kernel_graph_traces_are_pinned():
@@ -378,7 +441,9 @@ class TestRichSquareColorer:
 
 class TestPipelineExamples:
     def test_k123_multipartite(self):
-        c, t = pipeline_ok(K123)
+        # K_{2,2,3} holds an induced K_{1,2,3}; K_{1,2,3} itself is peeled
+        assert contains_induced(K223, K123) is not None
+        c, t = pipeline_ok(K223)
         assert c.k == 3
         assert t.rules() == ["Multipartite"]
 
@@ -401,13 +466,20 @@ class TestPipelineExamples:
         assert c.k == 3 and t.rules() == ["LowDegreePeel"]
 
     def test_prism_line_graph(self):
-        c, t = pipeline_ok(PRISM6)
+        # the prism itself is cubic, so it is peeled; its line graph is not
+        assert contains_isk4(L_PRISM) is None
+        c, t = pipeline_ok(L_PRISM)
         assert c.k <= 4 and t.rules() == ["SubcubicLineGraph"]
+        assert pipeline_ok(PRISM6)[1].rules() == ["LowDegreePeel"]
 
     def test_whole_rich_square(self):
+        # a path link's ends have degree 3, so SQ_TWO_LINKS is peeled whole;
+        # with centre links only the square is K_{2,2,m}, taken by rule 5
         assert contains_isk4(SQ_TWO_LINKS) is None
         c, t = pipeline_ok(SQ_TWO_LINKS)
-        assert c.k == 4 and t.rules() == ["RichSquare"]
+        assert c.k <= 4 and t.rules() == ["LowDegreePeel"]
+        c, t = pipeline_ok(SQ_THREE_CENTERS)
+        assert c.k == 3 and t.rules() == ["Multipartite"]
 
     def test_disconnected_reuses_colors(self):
         # a disconnected graph splits at the empty clique cutset
@@ -449,25 +521,36 @@ class TestPipelineExamples:
             {"bound": 4, "vertices": list(range(9))}, False)
 
     def test_rule5_violation_is_honest(self):
-        # K33 plus a vertex seeing two same-side vertices: no cutset, K33
-        # present, not multipartite; such a graph must contain an induced
-        # K4 subdivision, so the failure records a real hypothesis breach
-        g = Graph.from_edges(7, K33.edges() + [(6, 0), (6, 1)])
+        # minimum degree 4, no cutset, K33 present, not multipartite; such a
+        # graph must contain an induced K4 subdivision, so the failure
+        # records a real hypothesis breach
+        g = K44_PLUS_EDGE
         r = structural_four_coloring(g)
         assert isinstance(r, ColoringFailure)
         assert r.kind == "hypothesis_violation" and r.rule == 5
         assert "k33_vertices" in r.evidence
         assert has_isk4(g)
 
+    def test_rule6_violation_is_honest(self):
+        g = PRISM_NOT_LINE
+        assert min(a.bit_count() for a in g.adj) == 4 and has_isk4(g)
+        r = structural_four_coloring(g)
+        assert isinstance(r, ColoringFailure)
+        assert r.kind == "hypothesis_violation" and r.rule == 6
+        assert sorted(r.evidence) == ["expectation", "prism_vertices", "square"]
+        assert r.evidence["prism_vertices"] is not None
+
     def test_rule_names_stay_in_vocabulary(self):
-        for g in (K123, TWO_K4, HOST124, C5, PRISM6, SQ_TWO_LINKS):
+        for g in (K123, TWO_K4, HOST124, C5, PRISM6, SQ_TWO_LINKS, K223,
+                  L_PRISM):
             _, t = pipeline_ok(g)
             assert set(t.rules()) <= set(RULES)
 
 
 class TestTraceReplay:
     @pytest.mark.parametrize("g", [K123, TWO_K4, HOST124, C5, C6, PRISM6,
-                                   SQ_TWO_LINKS, SQ_THREE_CENTERS, K222])
+                                   SQ_TWO_LINKS, SQ_THREE_CENTERS, K222,
+                                   K223, L_PRISM])
     def test_replay_identity(self, g):
         c, t = pipeline_ok(g)
         assert replay_trace(g, t) == c
@@ -498,7 +581,8 @@ class TestTraceReplay:
             replay_trace(TWO_K4_APART, ColoringTrace(t.steps[1:]))
 
     def test_replay_rejects_wrong_graph(self):
-        _, t = pipeline_ok(K123)
+        # K222's parts on the same six vertices of C6
+        _, t = pipeline_ok(K222)
         with pytest.raises(ValueError):
             replay_trace(C6, t)
 
@@ -627,8 +711,8 @@ def test_mutated_traces_raise_only_value_error():
 # the trace each rule writes, pinned to the exact JSON: rule, scope, detail
 # keys in insertion order
 PINNED_TRACES = [
-    (K123, [{"rule": "Multipartite", "scope": 63,
-             "detail": {"parts": [[0], [1, 2], [3, 4, 5]]}}]),
+    (K223, [{"rule": "Multipartite", "scope": 127,
+             "detail": {"parts": [[0, 1], [2, 3], [4, 5, 6]]}}]),
     (TWO_K4, [{"rule": "CliqueCutsetSplit", "scope": 31,
                "detail": {"cutset": [1, 2, 3]}},
               {"rule": "Trivial", "scope": 15, "detail": {}},
@@ -645,13 +729,11 @@ PINNED_TRACES = [
                 "detail": {"order": [2]}},
                {"rule": "Multipartite", "scope": 123,
                 "detail": {"parts": [[0, 4], [1, 3], [5], [6]]}}]),
-    (PRISM6, [{"rule": "SubcubicLineGraph", "scope": 63,
-               "detail": {"edge_of": [[0, 1], [0, 2], [0, 3], [1, 4],
-                                      [2, 4], [3, 4]]}}]),
-    (SQ_TWO_LINKS, [{"rule": "RichSquare", "scope": 255,
-                     "detail": {"square": [0, 1, 2, 3],
-                                "links": [{"path": [4, 5], "center": False},
-                                          {"path": [6, 7], "center": False}]}}]),
+    (L_PRISM, [{"rule": "SubcubicLineGraph", "scope": 511,
+                "detail": {"edge_of": [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5],
+                                       [4, 5], [1, 4], [0, 3], [2, 5]]}}]),
+    (SQ_TWO_LINKS, [{"rule": "LowDegreePeel", "scope": 255,
+                     "detail": {"order": [4, 0, 1, 2, 3, 5, 6, 7]}}]),
     ("E]r?", [{"rule": "Proper2CutsetSplit", "scope": 63,
                "detail": {"a": 0, "b": 1, "x": [2, 3], "y": [4, 5],
                           "resolution": "agree"}},
@@ -661,13 +743,13 @@ PINNED_TRACES = [
                 "detail": {"a": 0, "b": 1, "x": [2, 3], "y": [4, 5, 6],
                            "resolution": "recolor_x"}},
                {"rule": "Trivial", "scope": 15, "detail": {}},
-               {"rule": "Multipartite", "scope": 115,
-                "detail": {"parts": [[0, 1], [4, 5, 6]]}}]),
+               {"rule": "LowDegreePeel", "scope": 115,
+                "detail": {"order": [0, 1, 4, 5, 6]}}]),
     ("FlUJ_", [{"rule": "Proper2CutsetSplit", "scope": 127,
                 "detail": {"a": 1, "b": 3, "x": [0, 4, 5], "y": [2, 6],
                            "resolution": "recolor_y"}},
-               {"rule": "Multipartite", "scope": 59,
-                "detail": {"parts": [[0, 4], [1, 3, 5]]}},
+               {"rule": "LowDegreePeel", "scope": 59,
+                "detail": {"order": [0, 1, 3, 4, 5]}},
                {"rule": "Trivial", "scope": 78, "detail": {}}]),
 ]
 
