@@ -2,15 +2,16 @@
 4-colouring recursion.
 
 `structural_four_coloring` applies the first matching rule at each level:
-trivial size, clique cutset (the empty one on a disconnected graph), proper
-2-cutset, a peel of the vertices of degree at most three, coloured last,
-then on what is left, a 4-core, complete multipartite and subcubic line
-graph.  It returns the colouring together with a replayable trace of the
-applied rules, or a structured failure naming the expectation that broke.
+trivial size, clique cutset (the empty one on a disconnected graph), a peel
+of the vertices of degree at most three, coloured last, then on what is
+left, a 4-core, complete multipartite and subcubic line graph.  It returns
+the colouring together with a replayable trace of the applied rules, or a
+structured failure naming the expectation that broke.
 
 Each trace rule is one entry of the rule table `_TABLE`.  Search and
 `replay_trace` run the same recursion over it and differ only in where a
-level's certificate comes from, so the two cannot drift apart.
+level's certificate comes from, so the two cannot drift apart, and replay
+never searches.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import Callable, Iterable, Optional, Union
 from .decompose import (
     CliqueCutset,
     MultipartiteCert,
-    Proper2Cutset,
     SubcubicRootCert,
     find_clique_cutset,
-    find_proper_2cutset,
+    find_proper_2cutset,  # noqa: F401  bench/trace.py rebinds it here
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
@@ -182,27 +182,20 @@ def _first_level(g: Graph) -> int:
     return 2
 
 
-def _least(h: Graph, hi: int) -> Optional[list[int]]:
-    """Iterative deepening: the first _backtrack colouring for k =
-    _first_level(h) .. hi, or None.  The levels skipped have no colouring,
-    so the first colouring found is the same."""
-    for k in range(_first_level(h), hi + 1):
-        raw = _backtrack(h, k)
-        if raw is not None:
-            return raw
-    return None
-
-
 def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
                            ) -> Optional[Coloring]:
     """A colouring with the fewest colours (its k is the chromatic number),
-    or None when upper_bound is set and every colouring needs more."""
-    raw = _least(g, g.n if upper_bound is None else min(upper_bound, g.n))
-    if raw is None:
-        return None
-    out = _coloring(raw)
-    assert out.validate(g)
-    return out
+    or None when upper_bound is set and every colouring needs more.
+    Iterative deepening from _first_level(g): the levels it skips have no
+    colouring, so the first colouring found is the same."""
+    hi = g.n if upper_bound is None else min(upper_bound, g.n)
+    for k in range(_first_level(g), hi + 1):
+        raw = _backtrack(g, k)
+        if raw is not None:
+            out = _coloring(raw)
+            assert out.validate(g)
+            return out
+    return None
 
 
 # -- leaf colourers --------------------------------------------------------
@@ -332,7 +325,7 @@ def _merge(base: dict[int, int], other: dict[int, int],
 
 def _leaf(colour: Callable) -> Callable:
     """apply for a rule whose colour(s, cert) colours h outright."""
-    return lambda s, cert, sub: (colour(s, cert).color, {})
+    return lambda s, cert, sub: colour(s, cert).color
 
 
 def _trivial(s: _Scope) -> Optional[int]:
@@ -340,60 +333,13 @@ def _trivial(s: _Scope) -> Optional[int]:
     return s.h.n if s.h.n <= 4 else None
 
 
-def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> tuple[dict, dict]:
+def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> dict[int, int]:
     smask = mask_of(cc.vertices)
     merged: Optional[dict[int, int]] = None
     for cm in components(s.h, s.h.vertex_mask & ~smask):
         part = sub(cm | smask, after=cc.vertices)
         merged = part if merged is None else _merge(merged, part, cc.vertices)
-    return merged, {}
-
-
-def _recolor(h: Graph, block: int, a: int, b: int,
-             equal: bool) -> Optional[dict[int, int]]:
-    """Cheapest colouring of h[block] in which the non-adjacent a and b agree
-    (equal) or differ, bound 4.  For "differ" the edge ab is added; for
-    "agree" b is merged into a, which takes b's neighbours, and b then gets
-    a's colour.  Either edit turns the relation into plain colouring."""
-    adj = list(h.adj)
-    if equal:
-        join, block = adj[b], block & ~(1 << b)
-    else:
-        join = 1 << b
-    adj[a] |= join
-    for u in bits(join):
-        adj[u] |= 1 << a
-    hb, bb = induced_subgraph(Graph(h.n, adj), block)
-    raw = _least(hb, 4)
-    if raw is None:
-        return None
-    out = dict(zip(bb, raw))
-    if equal:
-        out[b] = out[a]
-    return out
-
-
-def _split_p2c(s: _Scope, pc: Proper2Cutset, sub) -> tuple[dict, dict]:
-    a, b = pc.a, pc.b
-    bx = pc.x | 1 << a | 1 << b
-    by = pc.y | 1 << a | 1 << b
-    cx = sub(bx)
-    cy = sub(by)
-    if (cx[a] == cx[b]) == (cy[a] == cy[b]):
-        return _merge(cx, cy, (a, b)), {"resolution": "agree"}
-    # recolour the smaller block to match the larger block's relation on
-    # (a, b); failing that the larger block
-    tries = [(bx, cy, "recolor_x"), (by, cx, "recolor_y")]
-    if pc.x.bit_count() > pc.y.bit_count():
-        tries.reverse()
-    for block, kept, res in tries:
-        redo = _recolor(s.h, block, a, b, kept[a] == kept[b])
-        if redo is not None:
-            return _merge(kept, redo, (a, b)), {"resolution": res}
-    # h has no 4-colouring: one would give both blocks the same relation on
-    # (a, b), and each relation has just been refuted on one block
-    raise _Fail("chromatic_bound_exceeded", 4, s.mask,
-                {"bound": 4, "vertices": list(bits(s.mask))})
+    return merged
 
 
 def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
@@ -426,8 +372,8 @@ def _line_graph(s: _Scope) -> Optional[SubcubicRootCert]:
         return lg
     raise _Fail("hypothesis_violation", 6, s.mask, {
         "expectation": "with a prism or rich square present and no "
-                       "cutset the graph must be the line graph of a "
-                       "max-degree-3 graph",
+                       "clique cutset the graph must be the line graph of "
+                       "a max-degree-3 graph",
         "prism_vertices": None if prism is None else sorted(s.orig(prism.mapping)),
         "square": None if rich is None else s.orig(rich.square),
     })
@@ -457,14 +403,14 @@ def _peels(h: Graph, order: list[int]) -> bool:
     return bool(order)
 
 
-def _peel(s: _Scope, order: list[int], sub) -> tuple[dict, dict]:
+def _peel(s: _Scope, order: list[int], sub) -> dict[int, int]:
     # each peeled vertex sees at most three vertices coloured before it:
     # the rest and the vertices peeled after it
     rest = s.h.vertex_mask & ~mask_of(order)
     out = sub(rest) if rest else {}
     for v in reversed(order):
         out[v] = min(set(range(4)) - {out.get(u) for u in bits(s.h.adj[v])})
-    return out, {}
+    return out
 
 
 # One entry per trace rule, in proof order.  find(s) gives a certificate in
@@ -472,9 +418,9 @@ def _peel(s: _Scope, order: list[int], sub) -> tuple[dict, dict]:
 # and decode(s, detail) map it to and from the trace detail (original ids);
 # check(s, cert) re-validates a decoded one, by default with its validate;
 # apply(s, cert, sub) colours h, sub(m) giving h[m]'s colouring keyed by h's
-# ids, and returns h's colouring (indexed by h's ids) and what the detail
-# records after the recursion.  Detectors are looked up by module-global
-# name at call time, so rebinding them on this module reaches every call.
+# ids, and returns h's colouring, indexed by h's ids.  Detectors are looked
+# up by module-global name at call time, so rebinding them on this module
+# reaches every call.
 _Rule = namedtuple("_Rule", "name find encode decode apply check",
                    defaults=(lambda s, cert: cert.validate(s.h),))
 _TABLE = (
@@ -482,21 +428,12 @@ _TABLE = (
           encode=lambda s, n: {},
           decode=lambda s, d: _trivial(s),
           check=lambda s, n: n is not None,
-          apply=lambda s, n, sub: (range(n), {})),
+          apply=lambda s, n, sub: range(n)),
     _Rule("CliqueCutsetSplit",
           find=lambda s: find_clique_cutset(s.h, after=s.after),
           encode=lambda s, cc: {"cutset": s.orig(cc.vertices)},
           decode=lambda s, d: CliqueCutset(tuple(sorted(s.local(d["cutset"])))),
           apply=_split_clique),
-    _Rule("Proper2CutsetSplit",
-          find=lambda s: find_proper_2cutset(s.h),
-          encode=lambda s, pc: {"a": s.back[pc.a], "b": s.back[pc.b],
-                                "x": s.orig(bits(pc.x)),
-                                "y": s.orig(bits(pc.y))},
-          decode=lambda s, d: Proper2Cutset(s.index[d["a"]], s.index[d["b"]],
-                                            mask_of(s.local(d["x"])),
-                                            mask_of(s.local(d["y"]))),
-          apply=_split_p2c),
     _Rule("LowDegreePeel", find=_smallest_last,
           encode=lambda s, order: {"order": s.orig(order)},
           decode=lambda s, d: s.local(d["order"]),
@@ -529,8 +466,8 @@ def _first_rule(s: _Scope) -> tuple[_Rule, object]:
         raise _Fail("chromatic_bound_exceeded", 8, s.mask,
                     {"bound": 4, "vertices": list(bits(s.mask))})
     raise _Fail("hypothesis_violation", 8, s.mask, {
-        "expectation": "a graph with no cutset that is in no base class "
-                       "must have a vertex of degree at most 3",
+        "expectation": "a graph with no clique cutset that is in no base "
+                       "class must have a vertex of degree at most 3",
         "vertices": list(bits(s.mask)),
     })
 
@@ -574,11 +511,10 @@ def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
     """Colour h, whose vertex i is g's vertex back[i], and return the
     colouring in h's ids, renumbered by first occurrence.  The rule comes
     from pick, and its step goes to steps, in pre-order, as (ids, rule,
-    cert, outcome): the scope's _Ids, its certificate in its own ids and
-    what apply recorded.  So each call but a memo hit writes one step, a
-    disconnected h included: its rule is the empty clique cutset.  sub(m)
-    induces h[m] from h, so the vertex maps compose, and returns its
-    colouring keyed by h's ids.
+    cert): the scope's _Ids and its certificate in its own ids.  So each
+    call but a memo hit writes one step, a disconnected h included: its
+    rule is the empty clique cutset.  sub(m) induces h[m] from h, so the
+    vertex maps compose, and returns its colouring keyed by h's ids.
 
     With pieces, a scope below the top with more than four vertices is
     looked up by its adjacency.  A hit re-emits the stored steps through
@@ -591,8 +527,8 @@ def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
     hit = pieces.get(key) if key is not None else None
     if hit is not None:
         canon, done = hit
-        for local, rule, cert, outcome in done:
-            steps.append((_Ids(s.orig(local)), rule, cert, outcome))
+        for local, rule, cert in done:
+            steps.append((_Ids(s.orig(local)), rule, cert))
         return canon
     start = len(steps)
 
@@ -605,25 +541,23 @@ def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
                                      depth + 1, pick, steps, after, pieces)))
 
     rule, cert = pick(s)
-    outcome: dict = {}
-    steps.append((s, rule, cert, outcome))
-    col, done = rule.apply(s, cert, sub)
-    outcome.update(done)
+    steps.append((s, rule, cert))
+    col = rule.apply(s, cert, sub)
     canon = _canon_list(col[v] for v in range(h.n))
     assert max(canon, default=0) < 4
     if key is not None:
         if len(pieces) >= PIECES_BOUND:
             pieces.clear()
-        pieces[key] = (canon, [(s.local(ids.back), rule, cert, outcome)
-                               for ids, rule, cert, outcome in steps[start:]])
+        pieces[key] = (canon, [(s.local(ids.back), rule, cert)
+                               for ids, rule, cert in steps[start:]])
     return canon
 
 
 def _trace(steps: list) -> ColoringTrace:
     """Encode the steps _solve appended, each in its own scope's ids."""
     return ColoringTrace(tuple(
-        TraceStep(rule.name, ids.mask, {**rule.encode(ids, cert), **outcome})
-        for ids, rule, cert, outcome in steps))
+        TraceStep(rule.name, ids.mask, rule.encode(ids, cert))
+        for ids, rule, cert in steps))
 
 
 def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
@@ -658,21 +592,15 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
 
 def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     """Re-run the recorded rules, taking each certificate from the trace
-    instead of searching for it.  Only a 2-cutset step whose resolution is
-    recolor_* searches: it re-runs the exact search on the edited block.
+    instead of searching for it: replay never searches.
 
     On the graph that produced the trace this reproduces the identical
     colouring; a trace that does not fit raises ValueError.
     """
     steps: list = []
-    try:
-        col = _solve(g, list(range(g.n)), 0, _recorded(trace.steps), steps)
-    except _Fail as exc:
-        # the recorded rules lead to an instance the recursion refuses
-        raise ValueError(f"trace does not fit the graph: {exc.failure.kind} "
-                         f"at rule {exc.failure.rule}") from exc
+    col = _solve(g, list(range(g.n)), 0, _recorded(trace.steps), steps)
     # the re-encoded steps must give back the trace: this catches unused
-    # steps, a wrong 2-cutset resolution and an encode/decode pair that drifts
+    # steps and an encode/decode pair that drifts
     if _trace(steps).steps != tuple(trace.steps):
         raise ValueError("trace differs from its replay")
     out = _coloring(col)

@@ -278,11 +278,11 @@ def _assignments(n, k):
             yield rest + (c,)
 
 
-def dsatur_reference(g, k, pair=None, equal=False):
+def dsatur_reference(g, k):
     """First k-colouring in DSATUR order, or None: the uncoloured vertex of
     largest (saturation, degree, -v) next, its colours ascending up to one
-    above the count used, an optional equal / unequal pair constraint.
-    Saturation is recomputed as a set of neighbour colours at every step."""
+    above the count used.  Saturation is recomputed as a set of neighbour
+    colours at every step."""
     n = g.n
     nbrs = [[u for u in range(n) if g.has_edge(v, u)] for v in range(n)]
     col = [-1] * n
@@ -303,13 +303,8 @@ def dsatur_reference(g, k, pair=None, equal=False):
             return True
         v = pick()
         banned = {col[u] for u in nbrs[v] if col[u] >= 0}
-        other = -1
-        if pair is not None and v in pair:
-            other = pair[1] if v == pair[0] else pair[0]
         for c in range(min(k, used + 1)):
             if c in banned:
-                continue
-            if other >= 0 and col[other] >= 0 and equal != (c == col[other]):
                 continue
             col[v] = c
             if go(done + 1, used + (c == used)):

@@ -5,7 +5,6 @@ import hashlib
 import json
 import random
 from dataclasses import replace
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -28,12 +27,12 @@ from isk4lab.coloring import (
     structural_four_coloring,
 )
 from isk4lab.decompose import (
+    find_clique_cutset,
     find_proper_2cutset,
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import (Graph, bits, has_k4_minor, induced_subgraph,
-                            mask_of, parse_graph6)
+from isk4lab.graphs import Graph, bits, has_k4_minor, mask_of, parse_graph6
 from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
                               find_maximal_k12n, find_rich_square,
                               iter_maximal_k12n, iter_rich_squares,
@@ -52,8 +51,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 PAST_N7 = tuple((FIXTURES / "past_n7.g6").read_text().split())
 
 # minimum degree 4: K222 and K_{2,2,3}, the line graphs of K33, the prism,
-# the cube, the Moebius ladder on 8 vertices and Petersen (all ISK4-free),
-# then the refusals at rules 5, 6 and 8 (each with an ISK4)
+# the cube, the Moebius ladder on 8 vertices, Petersen and a cubic graph
+# with a 2-edge cut (all ISK4-free), then the refusals at rules 5, 6 and 8
+# (each with an ISK4)
 FOUR_CORES = tuple((FIXTURES / "four_cores.g6").read_text().split())
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -79,6 +79,10 @@ PRISM_NOT_LINE = parse_graph6("Fnupw")
 # two K4's glued on a triangle: the triangle is a clique cutset
 TWO_K4 = Graph.from_edges(5, K4.edges() + [(4, 1), (4, 2), (4, 3)])
 
+# the line graph of a cubic graph with a 2-edge cut: an ISK4-free 4-core
+# with a proper 2-cutset and no clique cutset
+L_TWO_EDGE_CUT = parse_graph6("Kl|c_CD@GE_N")
+
 # two K4's side by side: the empty clique cutset
 TWO_K4_APART = Graph.from_edges(8, K4.edges()
                                 + [(u + 4, v + 4) for u, v in K4.edges()])
@@ -101,7 +105,7 @@ SQ_THREE_CENTERS = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0)]
 
 # triangle {2,3,4} complete to 0 and 1; K4 {5..8} with 0~5,6, 1~7,8.  Each
 # side of the cut pair {0,1} 4-colours, but never with the same relation on
-# the pair, so the graph needs five colours
+# the pair, so the graph needs five colours; its minimum degree is 4
 SPLIT_NEEDS_FIVE = Graph.from_edges(9, [(2, 3), (2, 4), (3, 4)]
                                     + [(t, v) for t in (2, 3, 4) for v in (0, 1)]
                                     + [(u + 5, v + 5) for u, v in K4.edges()]
@@ -196,45 +200,6 @@ class TestBacktrackAgainstReference:
         for g in kernel_graphs():
             for k in range(1, 5):
                 assert _backtrack(g, k) == dsatur_reference(g, k), (g, k)
-
-    @staticmethod
-    def recolourings():
-        """(host, block, a, b): every non-adjacent pair of every graph with
-        n <= 5 on the whole graph, and both blocks of each kernel graph's
-        proper 2-cutset, as the recursion's recolouring takes them."""
-        for n in range(6):
-            for g in all_graphs(n):
-                for a, b in combinations(range(n), 2):
-                    if not g.has_edge(a, b):
-                        yield g, g.vertex_mask, a, b
-        for g in kernel_graphs():
-            pc = find_proper_2cutset(g)
-            if pc is not None:
-                for side in (pc.x, pc.y):
-                    yield g, side | 1 << pc.a | 1 << pc.b, pc.a, pc.b
-
-    def test_recolor_against_the_pair_constrained_oracle(self):
-        # the edited block's least colouring against the oracle's pair
-        # constraint: the same refusals, and where there is a colouring, a
-        # proper one that meets the relation with the least colour count
-        met = 0
-        for g, block, a, b in self.recolourings():
-            hb, bb = induced_subgraph(g, block)
-            pair = (bb.index(a), bb.index(b))
-            for equal in (False, True):
-                got = coloring._recolor(g, block, a, b, equal)
-                least = next((k for k in range(1, 5) if dsatur_reference(
-                    hb, k, pair, equal) is not None), None)
-                assert (got is None) == (least is None), (g, block, a, b, equal)
-                if got is None:
-                    continue
-                met += 1
-                assert sorted(got) == bb
-                assert all(got[u] != got[v] for u, v in g.edges()
-                           if block >> u & block >> v & 1)
-                assert (got[a] == got[b]) == equal
-                assert len(set(got.values())) == least
-        assert met > 10000
 
 
 class TestRuleGates:
@@ -331,6 +296,18 @@ class TestFourCores:
         for line in universe + fixture[:3000] + list(PAST_N7) + list(FOUR_CORES):
             structural_four_coloring(parse_graph6(line))
         assert all(seen.values()), seen
+
+    def test_proper_2cutset_host_is_a_line_graph(self):
+        # with the peel right after the clique cutset, no 2-cutset rule is
+        # needed: this ISK4-free 4-core is taken whole by rule 6
+        g = L_TWO_EDGE_CUT
+        assert contains_isk4(g) is None
+        assert min(a.bit_count() for a in g.adj) == 4
+        assert find_clique_cutset(g) is None
+        assert find_proper_2cutset(g) is not None
+        c, t = pipeline_ok(g)
+        assert t.rules() == ["SubcubicLineGraph"]
+        assert replay_trace(g, t) == c
 
     def test_whole_rich_squares_are_multipartite(self):
         # a path link's ends have degree 3, so on minimum degree >= 4 every
@@ -514,10 +491,13 @@ class TestPipelineExamples:
         assert r.scope == g.vertex_mask and not r.conjecture_counterexample
 
     def test_split_refused_when_no_recolouring_fits(self):
-        # neither block recolours to the other's relation on the cut pair, so
-        # the split refuses at once: no 4-colouring of the whole can exist
-        assert structural_four_coloring(SPLIT_NEEDS_FIVE) == ColoringFailure(
-            "chromatic_bound_exceeded", 4, 511,
+        # a 4-core with a proper 2-cutset {0, 1} but no clique cutset that is
+        # in no base class: refused at rule 8, as it needs five colours
+        g = SPLIT_NEEDS_FIVE
+        assert min(a.bit_count() for a in g.adj) == 4
+        assert find_proper_2cutset(g) is not None
+        assert structural_four_coloring(g) == ColoringFailure(
+            "chromatic_bound_exceeded", 8, 511,
             {"bound": 4, "vertices": list(range(9))}, False)
 
     def test_rule5_violation_is_honest(self):
@@ -586,32 +566,6 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             replay_trace(C6, t)
 
-    def test_replay_rejects_wrong_resolution(self):
-        g = parse_graph6("E]r?")  # its 2-cutset sides agree
-        _, t = pipeline_ok(g)
-        head = t.steps[0]
-        bad = TraceStep(head.rule, head.scope,
-                        {**head.detail, "resolution": "recolor_x"})
-        with pytest.raises(ValueError):
-            replay_trace(g, ColoringTrace((bad,) + t.steps[1:]))
-
-    def test_replay_refusal_is_value_error(self):
-        g = SPLIT_NEEDS_FIVE
-        trace = ColoringTrace((
-            TraceStep("Proper2CutsetSplit", g.vertex_mask,
-                      {"a": 0, "b": 1, "x": [2, 3, 4], "y": [5, 6, 7, 8]}),
-            TraceStep("Multipartite", mask_of([0, 1, 2, 3, 4]),
-                      {"parts": [[0, 1], [2], [3], [4]]}),
-            TraceStep("CliqueCutsetSplit", mask_of([0, 1, 5, 6, 7, 8]),
-                      {"cutset": [5, 6]}),
-            TraceStep("Trivial", mask_of([0, 5, 6])),
-            TraceStep("CliqueCutsetSplit", mask_of([1, 5, 6, 7, 8]),
-                      {"cutset": [7, 8]}),
-            TraceStep("Trivial", mask_of([1, 7, 8])),
-            TraceStep("Trivial", mask_of([5, 6, 7, 8]))))
-        with pytest.raises(ValueError, match="does not fit the graph"):
-            replay_trace(g, trace)
-
     @pytest.mark.parametrize("order", [
         [3, 4, 1, 5, 0, 2, 6, 7, 8, 9],  # 1 has 0, 5, 6 and 7 left
         [3, 4, 3, 5, 1, 0, 2, 6, 7, 8, 9],  # 3 twice
@@ -625,10 +579,18 @@ class TestTraceReplay:
             replay_trace(HOST124, ColoringTrace((bad,)))
 
     def test_replay_never_runs_the_exact_search(self, monkeypatch):
-        traces = [(g, out) for g in kernel_graphs()
+        # F]rE? and FlUJ_ have a proper 2-cutset whose sides disagree on
+        # the cut pair
+        hosts = [*kernel_graphs(), parse_graph6("F]rE?"), parse_graph6("FlUJ_")]
+        traces = [(g, out) for g in hosts
                   if isinstance(out := structural_four_coloring(g), tuple)]
         assert any("LowDegreePeel" in t.rules() for _, (_, t) in traces)
-        monkeypatch.setattr(coloring, "chromatic_number_exact", None)
+
+        def searched(*args):
+            raise AssertionError("replay ran the exact search")
+
+        monkeypatch.setattr(coloring, "chromatic_number_exact", searched)
+        monkeypatch.setattr(coloring, "_backtrack", searched)
         for g, (c, t) in traces:
             assert replay_trace(g, t) == c
 
@@ -645,8 +607,6 @@ def perturb(value, rng):
         return not value
     if isinstance(value, int):
         return rng.choice((value - 1, value + 1, 2 * value + 1))
-    if isinstance(value, str):
-        return rng.choice(("agree", "recolor_x", "recolor_y", ""))
     if isinstance(value, dict) and value:
         key = rng.choice(sorted(value))
         return {**value, key: perturb(value[key], rng)}
@@ -734,23 +694,12 @@ PINNED_TRACES = [
                                        [4, 5], [1, 4], [0, 3], [2, 5]]}}]),
     (SQ_TWO_LINKS, [{"rule": "LowDegreePeel", "scope": 255,
                      "detail": {"order": [4, 0, 1, 2, 3, 5, 6, 7]}}]),
-    ("E]r?", [{"rule": "Proper2CutsetSplit", "scope": 63,
-               "detail": {"a": 0, "b": 1, "x": [2, 3], "y": [4, 5],
-                          "resolution": "agree"}},
-              {"rule": "Trivial", "scope": 15, "detail": {}},
-              {"rule": "Trivial", "scope": 51, "detail": {}}]),
-    ("F]rE?", [{"rule": "Proper2CutsetSplit", "scope": 127,
-                "detail": {"a": 0, "b": 1, "x": [2, 3], "y": [4, 5, 6],
-                           "resolution": "recolor_x"}},
-               {"rule": "Trivial", "scope": 15, "detail": {}},
-               {"rule": "LowDegreePeel", "scope": 115,
-                "detail": {"order": [0, 1, 4, 5, 6]}}]),
-    ("FlUJ_", [{"rule": "Proper2CutsetSplit", "scope": 127,
-                "detail": {"a": 1, "b": 3, "x": [0, 4, 5], "y": [2, 6],
-                           "resolution": "recolor_y"}},
-               {"rule": "LowDegreePeel", "scope": 59,
-                "detail": {"order": [0, 1, 3, 4, 5]}},
-               {"rule": "Trivial", "scope": 78, "detail": {}}]),
+    ("E]r?", [{"rule": "LowDegreePeel", "scope": 63,
+               "detail": {"order": [2, 0, 1, 3, 4, 5]}}]),
+    ("F]rE?", [{"rule": "LowDegreePeel", "scope": 127,
+                "detail": {"order": [2, 3, 0, 1, 4, 5, 6]}}]),
+    ("FlUJ_", [{"rule": "LowDegreePeel", "scope": 127,
+                "detail": {"order": [0, 1, 2, 3, 4, 5, 6]}}]),
 ]
 
 
@@ -813,8 +762,7 @@ class TestPastN7:
         assert replay_trace(g, out[1]) == out[0]
 
 
-def test_recolor_starts_at_the_first_level(monkeypatch):
-    # the exact search runs here only for the recolourings
+def test_exact_search_starts_at_the_first_level(monkeypatch):
     calls = []
 
     def counted(h, k):
@@ -822,9 +770,9 @@ def test_recolor_starts_at_the_first_level(monkeypatch):
         return _backtrack(h, k)
 
     monkeypatch.setattr(coloring, "_backtrack", counted)
-    for line in ("F]rE?", "FlUJ_"):
-        _, t = pipeline_ok(parse_graph6(line))
-        assert t.steps[0].detail["resolution"].startswith("recolor_")
+    for g in (*kernel_graphs(), K5, C5, SPLIT_NEEDS_FIVE):
+        chromatic_number_exact(g)
+        chromatic_number_exact(g, 4)
     assert calls
     assert all(k >= first for k, first in calls)
 
@@ -867,8 +815,9 @@ class TestPieceMemo:
 
     def test_top_and_small_pieces_not_stored(self):
         pieces = {}
-        for g in (K123, HOST124, C6, parse_graph6("F]rE?")):
+        c5_pendant = Graph.from_edges(6, C5.edges() + [(0, 5)])
+        for g in (K123, HOST124, C6, c5_pendant):
             structural_four_coloring(g, pieces=pieces)
-        # F]rE?'s larger 2-cutset block has 5 vertices; every other scope
-        # is a top (HOST124 is peeled whole) or has at most 4
+        # c5_pendant splits at {0} into its C5 and an edge; every other
+        # scope is a top (HOST124 is peeled whole) or has at most 4 vertices
         assert sorted(len(key) for key in pieces) == [5]

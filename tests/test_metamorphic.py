@@ -27,7 +27,7 @@ from isk4lab.patterns import (
     find_rich_square,
 )
 
-from test_coloring import PAST_N7, SQ_TWO_LINKS
+from test_coloring import FOUR_CORES, PAST_N7, SQ_TWO_LINKS
 from test_patterns import K123
 
 
@@ -82,8 +82,10 @@ def test_relabelling_keeps_every_answer(g, perm):
     assert profile(g.relabel(perm)) == profile(g)
 
 
+# then the ISK4-free 4-cores, each taken whole by rule 5 or 6
 ISK4_FREE_HOSTS = [parse_graph6(line) for line in PAST_N7] + \
-    [g for g, _ in relabel_cases() if contains_isk4(g) is None]
+    [g for g, _ in relabel_cases() if contains_isk4(g) is None] + \
+    [g for g in map(parse_graph6, FOUR_CORES) if contains_isk4(g) is None]
 
 
 @pytest.mark.parametrize("g", ISK4_FREE_HOSTS)
