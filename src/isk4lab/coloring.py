@@ -8,16 +8,19 @@ left, a 4-core, complete multipartite and subcubic line graph.  It returns
 the colouring together with a replayable trace of the applied rules, or a
 structured failure naming the expectation that broke.
 
-Each trace rule is one entry of the rule table `_TABLE`.  Search and
-`replay_trace` run the same recursion over it and differ only in where a
-level's certificate comes from, so the two cannot drift apart, and replay
-never searches.
+Each trace rule is one entry of the rule table `_TABLE`, whose find only
+recognises: it gives a certificate or None.  Search and `replay_trace` run
+the same recursion over it and differ only in where a level's certificate
+comes from, so the two cannot drift apart, and replay never searches.  A
+scope that no rule takes is refused by `_refusal`, the one place that
+builds a `ColoringFailure`: at rule 5 or 6 when the structure that forces
+a base class is there, else at rule 8.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
@@ -88,9 +91,11 @@ class ColoringFailure:
 
 
 class _Fail(Exception):
-    def __init__(self, kind: str, rule: int, scope: int, evidence: dict):
-        super().__init__(kind)
-        self.failure = ColoringFailure(kind, rule, scope, evidence)
+    """A scope that no rule takes; _refusal says why."""
+
+    def __init__(self, scope: _Scope):
+        super().__init__(scope.mask)
+        self.scope = scope
 
 
 # -- exact search ----------------------------------------------------------
@@ -323,11 +328,6 @@ def _merge(base: dict[int, int], other: dict[int, int],
     return out
 
 
-def _leaf(colour: Callable) -> Callable:
-    """apply for a rule whose colour(s, cert) colours h outright."""
-    return lambda s, cert, sub: colour(s, cert).color
-
-
 def _trivial(s: _Scope) -> Optional[int]:
     # small instances take distinct colours; the certificate is the size
     return s.h.n if s.h.n <= 4 else None
@@ -340,43 +340,6 @@ def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> dict[int, int]:
         part = sub(cm | smask, after=cc.vertices)
         merged = part if merged is None else _merge(merged, part, cc.vertices)
     return merged
-
-
-def _multipartite(s: _Scope) -> Optional[MultipartiteCert]:
-    # a K_{3,3} forces complete multipartite here, but recognition is
-    # attempted unconditionally so plain multipartite graphs are also
-    # coloured by their parts
-    mp = recognize_complete_multipartite(s.h)
-    if mp is not None and len(mp.parts) <= 4:
-        return mp
-    k33 = contains_fixed(s.h, "K33")
-    if k33 is not None:
-        raise _Fail("hypothesis_violation", 5, s.mask, {
-            "expectation": "with K_{3,3} present and no clique cutset the "
-                           "graph must be complete multipartite on at most "
-                           "four parts",
-            "k33_vertices": sorted(s.orig(k33.mapping)),
-            "parts": None if mp is None else len(mp.parts),
-        })
-    return None
-
-
-def _line_graph(s: _Scope) -> Optional[SubcubicRootCert]:
-    # a whole rich square on a 4-core has only centre links, so it is a
-    # K_{2,2,m}, which rule 5 has taken
-    prism, rich = contains_fixed(s.h, "prism"), find_rich_square(s.h)
-    if prism is None and rich is None:
-        return None
-    lg = recognize_line_graph_subcubic(s.h)
-    if lg is not None:
-        return lg
-    raise _Fail("hypothesis_violation", 6, s.mask, {
-        "expectation": "with a prism or rich square present and no "
-                       "clique cutset the graph must be the line graph of "
-                       "a max-degree-3 graph",
-        "prism_vertices": None if prism is None else sorted(s.orig(prism.mapping)),
-        "square": None if rich is None else s.orig(rich.square),
-    })
 
 
 def _smallest_last(s: _Scope) -> Optional[list[int]]:
@@ -414,7 +377,7 @@ def _peel(s: _Scope, order: list[int], sub) -> dict[int, int]:
 
 
 # One entry per trace rule, in proof order.  find(s) gives a certificate in
-# h's ids, None when the rule does not apply, or raises _Fail; encode(s, cert)
+# h's ids, or None when the rule does not apply; encode(s, cert)
 # and decode(s, detail) map it to and from the trace detail (original ids);
 # check(s, cert) re-validates a decoded one, by default with its validate;
 # apply(s, cert, sub) colours h, sub(m) giving h[m]'s colouring keyed by h's
@@ -439,37 +402,74 @@ _TABLE = (
           decode=lambda s, d: s.local(d["order"]),
           check=lambda s, order: _peels(s.h, order),
           apply=_peel),
-    _Rule("Multipartite", find=_multipartite,
+    _Rule("Multipartite",
+          find=lambda s: (mp if (mp := recognize_complete_multipartite(s.h))
+                          is not None and len(mp.parts) <= 4 else None),
           encode=lambda s, mp: {"parts": [s.orig(bits(p)) for p in mp.parts]},
           decode=lambda s, d: MultipartiteCert(
               tuple(mask_of(s.local(part)) for part in d["parts"])),
           check=lambda s, mp: len(mp.parts) <= 4 and mp.validate(s.h),
-          apply=_leaf(lambda s, mp: color_complete_multipartite(mp))),
-    _Rule("SubcubicLineGraph", find=_line_graph,
+          apply=lambda s, mp, sub: color_complete_multipartite(mp).color),
+    _Rule("SubcubicLineGraph",
+          find=lambda s: recognize_line_graph_subcubic(s.h),
           encode=lambda s, lg: {"edge_of": [list(e) for e in lg.edge_of]},
           decode=lambda s, d: SubcubicRootCert(
               tuple(tuple(e) for e in d["edge_of"])),
-          apply=_leaf(lambda s, lg: color_subcubic_line_graph(s.h, lg))),
+          apply=lambda s, lg, sub: color_subcubic_line_graph(s.h, lg).color),
 )
 RULES = tuple(rule.name for rule in _TABLE)
 
 
 def _first_rule(s: _Scope) -> tuple[_Rule, object]:
-    """Search: the first rule whose find succeeds, with its certificate.
-    With none, the scope is refused at rule 8, as needing five colours when
-    the exact search finds no 4-colouring."""
+    """Search: the first rule whose find succeeds, with its certificate."""
     for rule in _TABLE:
         cert = rule.find(s)
         if cert is not None:
             return rule, cert
-    if chromatic_number_exact(s.h, 4) is None:
-        raise _Fail("chromatic_bound_exceeded", 8, s.mask,
-                    {"bound": 4, "vertices": list(bits(s.mask))})
-    raise _Fail("hypothesis_violation", 8, s.mask, {
-        "expectation": "a graph with no clique cutset that is in no base "
-                       "class must have a vertex of degree at most 3",
-        "vertices": list(bits(s.mask)),
-    })
+    raise _Fail(s)
+
+
+def _refusal(g: Graph, s: _Scope) -> ColoringFailure:
+    """Why no rule takes the scope s of g, in proof order.  With no clique
+    cutset, a K_{3,3} forces complete multipartite (rule 5), and a prism or
+    rich square forces the line graph of a max-degree-3 graph (rule 6).
+    Past those, s is a 4-core outside every base class (rule 8): it needs
+    five colours when the exact search finds no 4-colouring, and then g is
+    a counterexample candidate if it has no induced K4 subdivision."""
+    k33 = contains_fixed(s.h, "K33")
+    if k33 is not None:
+        mp = recognize_complete_multipartite(s.h)
+        return ColoringFailure("hypothesis_violation", 5, s.mask, {
+            "expectation": "with K_{3,3} present and no clique cutset the "
+                           "graph must be complete multipartite on at most "
+                           "four parts",
+            "k33_vertices": sorted(s.orig(k33.mapping)),
+            "parts": None if mp is None else len(mp.parts),
+        })
+    prism, rich = contains_fixed(s.h, "prism"), find_rich_square(s.h)
+    if prism is not None or rich is not None:
+        return ColoringFailure("hypothesis_violation", 6, s.mask, {
+            "expectation": "with a prism or rich square present and no "
+                           "clique cutset the graph must be the line graph "
+                           "of a max-degree-3 graph",
+            "prism_vertices": None if prism is None
+            else sorted(s.orig(prism.mapping)),
+            "square": None if rich is None else s.orig(rich.square),
+        })
+    vertices = list(bits(s.mask))
+    if chromatic_number_exact(s.h, 4) is not None:
+        return ColoringFailure("hypothesis_violation", 8, s.mask, {
+            "expectation": "a graph with no clique cutset that is in no base "
+                           "class must have a vertex of degree at most 3",
+            "vertices": vertices,
+        })
+    evidence = {"bound": 4, "vertices": vertices}
+    free = contains_isk4(g) is None
+    if free:
+        evidence["note"] = ("needs five colours yet has no induced K4 "
+                            "subdivision: counterexample candidate")
+    return ColoringFailure("chromatic_bound_exceeded", 8, s.mask, evidence,
+                           free)
 
 
 def _recorded(steps) -> Callable:
@@ -579,12 +579,7 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
     try:
         col = _solve(g, list(range(g.n)), 0, _first_rule, steps, pieces=pieces)
     except _Fail as exc:
-        f = exc.failure
-        if f.kind == "chromatic_bound_exceeded" and contains_isk4(g) is None:
-            return replace(f, conjecture_counterexample=True, evidence={
-                **f.evidence, "note": "needs five colours yet has no induced "
-                                      "K4 subdivision: counterexample candidate"})
-        return f
+        return _refusal(g, exc.scope)
     out = _coloring(col)
     assert out.k <= 4 and out.validate(g)
     return out, _trace(steps)

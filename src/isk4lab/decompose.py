@@ -121,14 +121,7 @@ def find_proper_2cutset(g: Graph) -> Optional[Proper2Cutset]:
     groups (x, y) with neither side-plus-{a,b} an (a,b)-path.
 
     All 2^(#components) groupings are tried; the first admissible one wins.
-
-    A chordless cycle on n >= 4 vertices has none, so it returns None at
-    once: removing a non-adjacent pair {a,b} leaves the cycle's two arcs
-    from a to b as the only two components, so the only grouping puts one
-    arc on each side, and each arc with {a,b} induces an (a,b)-path.
     """
-    if is_hole(g, g.vertex_mask):
-        return None
     for a, b in combinations(range(g.n), 2):
         if g.has_edge(a, b):
             continue

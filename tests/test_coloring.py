@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -274,11 +275,13 @@ class TestRuleGates:
 class TestFourCores:
     """The premises of peeling before rules 5 and 6: those rules see only
     4-cores, which have a K4 minor, and a whole rich square that is a
-    4-core is complete multipartite."""
+    4-core is complete multipartite.  Their finds only recognise; the
+    refusal's searches see only 4-cores too."""
 
     def test_rules_5_and_6_see_only_four_cores(self, monkeypatch):
         # with at least five vertices and minimum degree >= 4 a scope has a
-        # K4 minor (Dirac), so rules 5 and 6 need no K4-minor gate
+        # K4 minor (Dirac), so rules 5 and 6 need no K4-minor gate; the
+        # refusal's searches likewise see only 4-cores with no clique cutset
         seen = {"Multipartite": 0, "SubcubicLineGraph": 0}
 
         def watched(rule):
@@ -289,13 +292,95 @@ class TestFourCores:
                 return rule.find(s)
             return rule._replace(find=find)
 
+        searched = []
+
+        def core_only(name):
+            real = getattr(coloring, name)
+
+            def search(h, *args):
+                searched.append(name)
+                assert min(a.bit_count() for a in h.adj) >= 4, h
+                assert find_clique_cutset(h) is None, h
+                return real(h, *args)
+            monkeypatch.setattr(coloring, name, search)
+
         monkeypatch.setattr(coloring, "_TABLE", tuple(
             watched(r) if r.name in seen else r for r in coloring._TABLE))
+        for name in ("contains_fixed", "find_rich_square",
+                     "chromatic_number_exact"):
+            core_only(name)
+        refused = set()
         fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
         universe = [x for n in range(1, 7) for x in enumerate_small(n)]
         for line in universe + fixture[:3000] + list(PAST_N7) + list(FOUR_CORES):
-            structural_four_coloring(parse_graph6(line))
+            out = structural_four_coloring(parse_graph6(line))
+            if isinstance(out, ColoringFailure):
+                refused.add(out.rule)
         assert all(seen.values()), seen
+        assert refused == {5, 6, 8}
+        assert set(searched) == {"contains_fixed", "find_rich_square",
+                                 "chromatic_number_exact"}
+
+    def test_no_find_raises(self, monkeypatch):
+        # every find is a plain recogniser: a refusal comes from _refusal
+        raised = []
+
+        def recorded(rule):
+            def find(s):
+                try:
+                    return rule.find(s)
+                except Exception as exc:
+                    raised.append((rule.name, exc))
+                    raise
+            return rule._replace(find=find)
+
+        monkeypatch.setattr(coloring, "_TABLE",
+                            tuple(map(recorded, coloring._TABLE)))
+        rules = {}
+        for line in FOUR_CORES + PAST_N7:
+            out = structural_four_coloring(parse_graph6(line))
+            if isinstance(out, ColoringFailure):
+                rules[line] = out.rule
+        assert raised == []
+        assert rules == {"G_~vf_": 5, "Fnupw": 6, "F|\\kw": 8}
+
+    def test_line_graphs_colour_without_detector_searches(self, monkeypatch):
+        def searched(*args):
+            raise AssertionError("rule 6 ran a detector search")
+
+        monkeypatch.setattr(coloring, "contains_fixed", searched)
+        monkeypatch.setattr(coloring, "find_rich_square", searched)
+        hosts = [g for g in map(parse_graph6, FOUR_CORES)
+                 if recognize_line_graph_subcubic(g) is not None
+                 and recognize_complete_multipartite(g) is None]
+        assert len(hosts) == 6
+        for g in hosts:
+            assert contains_isk4(g) is None
+            c, t = pipeline_ok(g)
+            assert t.rules() == ["SubcubicLineGraph"]
+            assert replay_trace(g, t) == c
+
+    def test_line_graph_four_cores_have_a_prism_or_rich_square(self):
+        # so recognising the line graph before any detector search takes
+        # no graph that rule 6's refusal would otherwise have let through
+        hosts = [g for g in map(parse_graph6, FOUR_CORES)
+                 if recognize_line_graph_subcubic(g) is not None]
+        for n in range(6, 13, 2):
+            for seed in range(8):
+                lg = nx.convert_node_labels_to_integers(
+                    nx.line_graph(nx.random_regular_graph(3, n, seed=seed)))
+                hosts.append(Graph.from_edges(lg.number_of_nodes(), lg.edges()))
+        met = 0
+        for g in hosts:
+            assert recognize_line_graph_subcubic(g) is not None
+            if (min(a.bit_count() for a in g.adj) < 4
+                    or find_clique_cutset(g) is not None
+                    or recognize_complete_multipartite(g) is not None):
+                continue
+            met += 1
+            assert (contains_fixed(g, "prism") is not None
+                    or find_rich_square(g) is not None), g
+        assert met >= 30, met
 
     def test_proper_2cutset_host_is_a_line_graph(self):
         # with the peel right after the clique cutset, no 2-cutset rule is

@@ -169,12 +169,12 @@ TWO_C5 = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
 
 
 class TestHoleGate:
-    """Both cutset finders return at once on a chordless cycle, and only on
-    a connected one."""
+    """The clique-cutset finder returns at once on a chordless cycle, and
+    only on a connected one."""
 
     def test_cycles_have_neither_cutset_and_search_no_candidate(self, monkeypatch):
-        # C_4..C_40: one connectivity test per call for the gate, which
-        # graphs.is_hole makes, and none for a candidate
+        # C_4..C_40: one connectivity test per clique-cutset call for the
+        # gate, which graphs.is_hole makes, and none for a candidate
         calls = []
         for module, name in ((graphs, "is_connected"), (decompose, "is_connected"),
                              (decompose, "components")):
@@ -185,8 +185,8 @@ class TestHoleGate:
             g = Graph.cycle(n)
             assert find_clique_cutset(g) is None
             assert find_clique_cutset(g, after=(0,)) is None
+            assert calls == ["isk4lab.graphs.is_connected"] * 2, n
             assert find_proper_2cutset(g) is None
-            assert calls == ["isk4lab.graphs.is_connected"] * 3, n
             calls.clear()
 
     def test_two_disjoint_cycles_keep_their_cutsets(self):
