@@ -35,7 +35,6 @@ from .decompose import (
 )
 from .graphs import Graph, bits, components, induced_subgraph, mask_of
 from .patterns import (
-    SquareLinkStructure,
     contains_fixed,
     contains_isk4,
     find_maximal_k12n,  # noqa: F401  bench/trace.py rebinds it here
@@ -244,25 +243,6 @@ def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
     # max degree 3 guarantees a 4-edge-colouring exists
     assert go(0, 0), "subcubic root failed to 4-edge-colour"
     out = _coloring(col)
-    assert out.validate(g)
-    return out
-
-
-def color_rich_square(g: Graph, s: SquareLinkStructure) -> Coloring:
-    """Fixed palette for a whole-graph square-and-links structure: square
-    corners 0/1 by opposite pairs, link paths alternate 2/3, centres take 2."""
-    if not s.whole:
-        raise ValueError("only whole-graph structures can be coloured directly")
-    v1, v2, v3, v4 = s.square
-    col = {v1: 0, v3: 0, v2: 1, v4: 1}
-    for link in s.links:
-        if link.center:
-            col[link.path[0]] = 2
-        else:
-            for i, p in enumerate(link.path):
-                col[p] = 2 + i % 2
-    assert len(col) == g.n, "whole mode must cover every vertex"
-    out = Coloring(tuple(col[v] for v in range(g.n)), len(set(col.values())))
     assert out.validate(g)
     return out
 

@@ -371,8 +371,7 @@ def _classify_link(g: Graph, comp: int, smask: int, e1: int, e2: int) -> Optiona
 def iter_rich_squares(g: Graph) -> Iterator[SquareLinkStructure]:
     """Every induced square with at least two link components off it, by
     square and then rotation.  whole=True when every component off the
-    square is a link (the form the direct colorer accepts); otherwise only
-    containment is certified."""
+    square is a link; otherwise only containment is certified."""
     for quad in combinations(range(g.n), 4):
         smask = mask_of(quad)
         degs = [(g.adj[v] & smask).bit_count() for v in quad]

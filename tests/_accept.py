@@ -106,12 +106,6 @@ def labeled_codes_where(n: int, pred) -> np.ndarray:
     return np.flatnonzero(ok[canon])
 
 
-def labeled_count_where(n: int, pred) -> int:
-    sizes = class_size(n)
-    return sum(int(sizes[code]) for code, flags in rep_flags(n).items()
-               if pred(flags))
-
-
 def _edges_connected(es: tuple, k: int) -> bool:
     seen = {es[0][0]}
     grow = True

@@ -1,9 +1,11 @@
 """End-to-end acceptance sweeps over the exhaustive small-graph universe.
 
-Each test prints one summary line (echoed again in the terminal summary):
+Each sweep prints one summary line (echoed again in the terminal summary):
 the structural-coloring run over every qualifying labeled graph, the
 chromatic bound, the three lemma conclusions, oracle equivalences, leaf
-colorer bounds, graph6 round-tripping, and scan determinism.
+colorer bounds, graph6 round-tripping, and scan determinism.  Two checks
+print none: the canonical map against known class counts and the
+brute-force fixture, and the triangle-free structure of ISK4-free classes.
 
 Verdicts that cannot depend on the labeling are computed once per
 isomorphism class; the structural coloring itself runs per labeled graph.
@@ -15,7 +17,6 @@ from isk4lab.coloring import (
     ColoringFailure,
     chromatic_number_exact,
     color_complete_multipartite,
-    color_rich_square,
     color_subcubic_line_graph,
     replay_trace,
     structural_four_coloring,
@@ -28,10 +29,14 @@ from isk4lab.decompose import (
 )
 from isk4lab.graphs import Graph, bits, code_to_graph6, parse_graph6, write_graph6
 from isk4lab.lemmas import check_lemma
-from isk4lab.patterns import contains_isk4, iter_rich_squares
+from isk4lab.patterns import contains_isk4
 from isk4lab.scan import ScanConfig, scan_stream
 
 from _accept import (
+    CLASS_COUNTS,
+    CONNECTED_CLASS_COUNTS,
+    canon_map,
+    class_reps,
     class_size,
     labeled_codes_where,
     record,
@@ -43,6 +48,46 @@ from oracles import brute_has_proper_2cutset, isk4_subsets, least_clique_cutset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEFAULT_BUDGET = 20000
+
+
+def test_canonical_map():
+    # the class counts are the known ones, and the map sends the brute-force
+    # per-class minimum codes of the n <= 5 fixture onto its representatives
+    for n in range(1, 8):
+        assert len(class_reps(n)) == CLASS_COUNTS[n - 1], n
+        assert sum(f["connected"] for f in rep_flags(n).values()) == \
+            CONNECTED_CLASS_COUNTS[n - 1], n
+    fixture = {}
+    for line in (FIXTURES / "small_graphs_n_le_5.g6").read_text().split():
+        g = parse_graph6(line)
+        fixture.setdefault(g.n, []).append(g.code())
+    assert sorted(fixture) == [1, 2, 3, 4, 5]
+    for n, codes in fixture.items():
+        assert sorted(int(canon_map(n)[c]) for c in codes) == \
+            list(class_reps(n)) == sorted(codes), n
+
+
+def test_triangle_free_without_clique_cutset():
+    # an ISK4-free triangle-free graph with no clique cutset is complete
+    # bipartite or has a vertex of degree <= 2; without the cutset premise
+    # this fails (two K_{3,3} sharing an edge, n = 10, in test_decompose)
+    free = held = 0
+    dense = []
+    for n in range(1, 8):
+        for code, g in rep_graphs(n).items():
+            if not rep_flags(n)[code]["isk4_free"] \
+                    or any(g.adj[u] & g.adj[v] for u, v in g.edges()):
+                continue
+            free += 1
+            if find_clique_cutset(g) is not None:
+                continue
+            held += 1
+            if min(g.degree(v) for v in range(n)) > 2:
+                mp = recognize_complete_multipartite(g)
+                assert mp is not None and len(mp.parts) == 2, code
+                dense.append(write_graph6(g))
+    assert (free, held) == (161, 16)
+    assert dense == ["EFz_", "FFzf?"]  # K_{3,3} and K_{3,4}
 
 
 def test_structural_coloring_sweep():
@@ -176,7 +221,7 @@ def test_oracle_equivalences():
 
 def test_leaf_colorer_bounds():
     violations = []
-    seen = {"line-graph": 0, "multipartite": 0, "rich-square": 0}
+    seen = {"line-graph": 0, "multipartite": 0}
     for n in range(1, 8):
         for code, g in rep_graphs(n).items():
             cert = recognize_line_graph_subcubic(g)
@@ -191,17 +236,10 @@ def test_leaf_colorer_bounds():
                 col = color_complete_multipartite(mp)
                 if col.k != len(mp.parts) or not col.validate(g):
                     violations.append(("multipartite", n, code))
-            rs = next((s for s in iter_rich_squares(g) if s.whole), None)
-            if rs is not None:
-                seen["rich-square"] += 1
-                col = color_rich_square(g, rs)
-                if col.k > 4 or not col.validate(g):
-                    violations.append(("rich-square", n, code))
     status = "PASS" if not violations else "FAIL"
     record(f"acceptance 5 leaf colorer bounds: {status} "
            f"({seen['line-graph']} line graphs, {seen['multipartite']} "
-           f"multipartite, {seen['rich-square']} squares, "
-           f"{len(violations)} violations)")
+           f"multipartite, {len(violations)} violations)")
     assert not violations, violations[:5]
 
 

@@ -25,6 +25,7 @@ from isk4lab.scan import ScanConfig
 from test_patterns import K33, K123, K222, PRISM6
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "small_graphs_n_le_5.g6")
+PAST_N7 = str(Path(__file__).parent / "fixtures" / "past_n7.g6")
 BOWTIE = write_graph6(Graph.from_edges(
     5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]))
 K124_PENDANT = write_graph6(Graph.from_edges(
@@ -292,6 +293,17 @@ class TestScanCommand:
         assert code == 0
         assert doc["meta"]["checks"] == ["CHI-LE-4", "ISK4-FILTER"]
         assert doc["totals"]["read"] == 52
+
+    def test_past_n7_colours_all_and_fails_l_comp(self, capsys):
+        # every graph is coloured and every graph is an L-COMP counterwitness
+        code, doc = run(capsys, "scan", "--checks",
+                        "ISK4-FILTER,STRUCTURAL-COLOR,L-COMP", PAST_N7)
+        assert code == 4
+        totals = doc["totals"]["checks"]
+        assert totals["STRUCTURAL-COLOR"] == \
+            {"budget": 0, "fail": 0, "pass": 9, "skip": 0}
+        assert totals["L-COMP"] == {"budget": 0, "fail": 9, "pass": 0, "skip": 0}
+        assert [f["check"] for f in doc["failures"]] == ["L-COMP"] * 9
 
     def test_stdin_stream(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("C~\nDUW\n"))

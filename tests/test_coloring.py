@@ -1,4 +1,4 @@
-"""Colouring tests: the exact oracle, the three leaf colourers, and the
+"""Colouring tests: the exact oracle, the two leaf colourers, and the
 structural recursion with its replayable traces."""
 
 import hashlib
@@ -22,7 +22,6 @@ from isk4lab.coloring import (
     TraceStep,
     chromatic_number_exact,
     color_complete_multipartite,
-    color_rich_square,
     color_subcubic_line_graph,
     replay_trace,
     structural_four_coloring,
@@ -474,31 +473,6 @@ class TestLineGraphColorer:
                     ref = root_edge_coloring(g, cert)
                     assert color_subcubic_line_graph(g, cert) == \
                         Coloring(tuple(ref), len(set(ref)))
-
-
-class TestRichSquareColorer:
-    def test_k222_palette(self):
-        c = color_rich_square(K222, find_rich_square(K222))
-        assert c == Coloring((0, 0, 1, 1, 2, 2), 3)
-
-    def test_two_path_links(self):
-        s = find_rich_square(SQ_TWO_LINKS)
-        assert s.whole
-        c = color_rich_square(SQ_TWO_LINKS, s)
-        assert c.k == 4 and c.validate(SQ_TWO_LINKS)
-
-    def test_three_centers(self):
-        s = find_rich_square(SQ_THREE_CENTERS)
-        c = color_rich_square(SQ_THREE_CENTERS, s)
-        assert c.k == 3 and c.validate(SQ_THREE_CENTERS)
-        assert c.color[4] == c.color[5] == c.color[6] == 2
-
-    def test_refuses_containment_mode(self):
-        g = Graph.from_edges(7, K222.edges() + [(4, 6)])
-        s = find_rich_square(g)
-        assert s is not None and not s.whole
-        with pytest.raises(ValueError):
-            color_rich_square(g, s)
 
 
 class TestPipelineExamples:

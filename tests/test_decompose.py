@@ -16,7 +16,9 @@ from isk4lab.decompose import (
     recognize_line_graph_subcubic,
 )
 from isk4lab.coloring import structural_four_coloring
-from isk4lab.graphs import Graph, bits, components, induced_subgraph, is_connected, mask_of
+from isk4lab.graphs import (Graph, bits, components, induced_subgraph,
+                            is_connected, mask_of, parse_graph6)
+from isk4lab.patterns import contains_isk4
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import K33, K123, K222, PRISM6, all_graphs, rule6_inputs
 
@@ -100,6 +102,22 @@ class TestCliqueCutset:
         assert find_clique_cutset(path, after=(3,)) == CliqueCutset((1, 2))
         assert find_clique_cutset(path, after=(2, 1)) == CliqueCutset((2, 3))
         assert find_clique_cutset(path, after=(2, 3)) is None
+
+    def test_two_k33_sharing_an_edge(self):
+        # ISK4-free, triangle-free, minimum degree 3 and not complete
+        # bipartite: only with no clique cutset does a triangle-free
+        # ISK4-free graph have to be complete bipartite or have a vertex of
+        # degree <= 2 (test_acceptance.py checks that form on n <= 7)
+        g = parse_graph6("IFz__aB_o")
+        assert contains_isk4(g) is None
+        assert not any(g.adj[u] & g.adj[v] for u, v in g.edges())
+        assert min(g.degree(v) for v in range(g.n)) == 3
+        assert recognize_complete_multipartite(g) is None
+        assert find_clique_cutset(g) == CliqueCutset((0, 3))
+        for side in components(g, g.vertex_mask & ~mask_of((0, 3))):
+            h, _ = induced_subgraph(g, side | mask_of((0, 3)))
+            cert = recognize_complete_multipartite(h)
+            assert sorted(p.bit_count() for p in cert.parts) == [3, 3]
 
     def test_validate_matches_networkx(self):
         for g in all_graphs(5):

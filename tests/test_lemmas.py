@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from isk4lab.graphs import Graph, bits, components, mask_of, parse_graph6
+from isk4lab.graphs import (Graph, attachment, bits, components, is_clique,
+                            mask_of, parse_graph6)
 from isk4lab.lemmas import (
     LEMMA_IDS,
     GraphFacts,
@@ -15,7 +16,8 @@ from isk4lab.lemmas import (
     is_linked,
     iter_induced_cycles,
 )
-from isk4lab.patterns import K12nEmbedding, contains_isk4, iter_maximal_k12n
+from isk4lab.patterns import (K12nEmbedding, contains_isk4, is_maximal_k12n,
+                              iter_maximal_k12n)
 from oracles import brute_linked
 from test_graphs import random_graph_strategy
 from test_patterns import K33, K123, all_graphs
@@ -27,6 +29,7 @@ LINK_HOST = Graph.from_edges(7, K123.edges() + [(3, 6), (4, 6)])
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 FIXTURE = Path(__file__).parent / "fixtures" / "scan_stream_100k.g6"
+PAST_N7 = Path(__file__).parent / "fixtures" / "past_n7.g6"
 # the middle path vertex must see a, otherwise the b1..b2 stretch closes an
 # induced K4 subdivision and the L-COMP hypotheses fail
 COMP_HOST = Graph.from_edges(9, K123.edges()
@@ -292,6 +295,49 @@ class TestCheckLemma:
             r = check_lemma(g, lemma, budget=20000)
             assert r.conclusion_holds is not False
             assert r.consistent()
+
+
+# past_n7.g6 line by line: the L-COMP counterwitness, as (embedding,
+# component, attachment), found at the first instance checked
+PAST_N7_COMP = (
+    ("Hy\\HWzH", (4, (1, 7), (3, 5, 8)), (0, 2, 6), (1, 4, 5, 8)),
+    ("HwrTkyS", (5, (0, 3), (6, 7, 8)), (1, 2, 4), (0, 5, 6, 7)),
+    ("Hpw[QH~", (4, (0, 8), (1, 2, 6)), (3, 5, 7), (1, 2, 4, 8)),
+    ("HYENuFM", (6, (0, 1), (2, 7, 8)), (3, 4, 5), (0, 1, 6, 8)),
+    ("Iq|OaXks?", (1, (4, 5), (3, 7, 8)), (0, 2, 9), (1, 3, 4, 8)),
+    ("ISaikFVXG", (8, (0, 6), (3, 5, 7)), (1, 2, 9), (0, 5, 6, 8)),
+    ("If\\uGwAq?", (3, (4, 5), (1, 2, 7)), (0, 6, 8, 9), (1, 3, 4, 5)),
+    ("IAJvLYcM?", (5, (0, 2), (6, 7, 8)), (1, 3, 4, 9), (2, 5, 6, 7)),
+    ("I{irOQqb?", (2, (0, 6), (1, 4, 8)), (3, 5, 9), (0, 2, 4, 8)),
+)
+
+
+def test_comp_counterwitnesses_past_n7():
+    """Every graph of past_n7.g6 meets the L-COMP hypotheses and fails its
+    conclusion at once.  Each counterwitness is pinned, then re-checked with
+    the graph and pattern primitives alone."""
+    assert PAST_N7.read_text().split() == [row[0] for row in PAST_N7_COMP]
+    both_b = 0
+    for line, emb, comp, att in PAST_N7_COMP:
+        g = parse_graph6(line)
+        r = check_lemma(g, "L-COMP")
+        assert r.hypothesis_satisfied and r.conclusion_holds is False, line
+        assert r.checked == 1 and r.consistent(), line
+        assert r.counterwitness == {"embedding": emb, "component": comp,
+                                    "attachment": att}, line
+        h = K12nEmbedding(*emb)
+        assert h.validate(g) and is_maximal_k12n(g, h) and h.n == 3, line
+        hmask = h.vertex_mask()
+        assert mask_of(comp) in components(g, g.vertex_mask & ~hmask), line
+        am = attachment(g, hmask, mask_of(comp))
+        assert tuple(bits(am)) == att, line
+        # a, one or both b's and the rest c's: not empty, not a clique and
+        # not {a, b1, b2}
+        nb = (am & mask_of(h.b)).bit_count()
+        assert len(att) == 4 and h.a in att and nb in (1, 2), line
+        assert not is_clique(g, am), line
+        both_b += nb == 2
+    assert both_b == 3
 
 
 class TestGraphFacts:

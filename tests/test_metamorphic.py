@@ -1,5 +1,6 @@
 """Metamorphic tests past n = 7, where the brute-force oracles stop: every
-yes/no answer and the chromatic number are properties of the graph, so a
+yes/no answer, the chromatic number and the structural verdict (coloured,
+or the refusal's kind and rule) are properties of the graph, so a
 relabelled copy must get the same ones, and the structural recursion must
 colour every relabelling of an ISK4-free graph."""
 
@@ -58,6 +59,12 @@ def relabel_cases(count=60, seed=13):
         yield g, perm
 
 
+def structural_verdict(g):
+    """The recursion's answer: "coloured", or the refusal's (kind, rule)."""
+    out = structural_four_coloring(g)
+    return "coloured" if isinstance(out, tuple) else (out.kind, out.rule)
+
+
 def profile(g):
     """Every answer that must not depend on the vertex labels."""
     found = {
@@ -74,7 +81,8 @@ def profile(g):
     }
     return {"k4_minor": has_k4_minor(g), "hole": is_hole(g, g.vertex_mask),
             **{name: out is not None for name, out in found.items()},
-            "chi": chromatic_number_exact(g).k}
+            "chi": chromatic_number_exact(g).k,
+            "structural": structural_verdict(g)}
 
 
 @pytest.mark.parametrize("g, perm", list(relabel_cases()))
