@@ -90,11 +90,7 @@ class ColoringFailure:
 
 
 class _Fail(Exception):
-    """A scope that no rule takes; _refusal says why."""
-
-    def __init__(self, scope: _Scope):
-        super().__init__(scope.mask)
-        self.scope = scope
+    """A scope that no rule takes, its only argument; _refusal says why."""
 
 
 # -- exact search ----------------------------------------------------------
@@ -207,15 +203,9 @@ def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
 
 def color_complete_multipartite(cert: MultipartiteCert) -> Coloring:
     """Parts become colour classes; k is the number of parts."""
-    union = 0
-    col: dict[int, int] = {}
-    for i, part in enumerate(cert.parts):
-        union |= part
-        for v in bits(part):
-            col[v] = i
-    n = union.bit_count()
-    assert union == (1 << n) - 1, "certificate must cover the vertex range"
-    return Coloring(tuple(col[v] for v in range(n)), len(cert.parts))
+    col = {v: i for i, part in enumerate(cert.parts) for v in bits(part)}
+    assert sorted(col) == list(range(len(col))), "parts must cover 0..n-1"
+    return Coloring(tuple(col[v] for v in range(len(col))), len(cert.parts))
 
 
 def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
@@ -250,27 +240,21 @@ def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
 # -- structural recursion --------------------------------------------------
 
 
-class _Ids:
-    """A scope's vertices: vertex i is g's vertex back[i]; mask in g's ids."""
-
-    def __init__(self, back: list[int]):
-        self.mask = mask_of(back)
-        self.back = back
-
-    def orig(self, vs: Iterable[int]) -> list[int]:
-        return [self.back[v] for v in vs]
-
-
-class _Scope(_Ids):
-    """One instance of the recursion, the graph h; rules work in h's ids.
+class _Scope:
+    """One instance of the recursion, the graph h (None in a step that a
+    memo hit re-emits); rules work in h's ids, vertex i being g's back[i].
     A piece of a clique-cutset split keeps its parent's cutset (in its own
     ids) as `after`, the floor of its own clique-cutset search."""
 
-    def __init__(self, h: Graph, back: list[int],
+    def __init__(self, h: Optional[Graph], back: list[int],
                  after: Optional[list[int]] = None):
-        super().__init__(back)
         self.h = h
+        self.back = back
         self.after = after
+        self.mask = mask_of(back)  # in g's ids
+
+    def orig(self, vs: Iterable[int]) -> list[int]:
+        return [self.back[v] for v in vs]
 
     def local(self, vs: Iterable[int]) -> list[int]:
         return [self.index[v] for v in vs]
@@ -281,19 +265,13 @@ class _Scope(_Ids):
 
 
 def _merge(base: dict[int, int], other: dict[int, int],
-           shared: Iterable[int]) -> dict[int, int]:
+           shared: tuple[int, ...]) -> dict[int, int]:
     """Overlay `other` onto `base` after permuting its colours so the shared
-    vertices agree; leftover colours go to the lowest free ids."""
-    pi: dict[int, int] = {}
-    targets: set[int] = set()
-    for v in shared:
-        src, dst = other[v], base[v]
-        if src in pi:
-            assert pi[src] == dst
-            continue
-        assert dst not in targets
-        pi[src] = dst
-        targets.add(dst)
+    clique agrees; leftover colours go to the lowest free ids."""
+    pi = {other[v]: base[v] for v in shared}
+    targets = set(pi.values())
+    # a clique takes distinct colours on both sides
+    assert len(pi) == len(targets) == len(shared)
     nxt = 0
     for c in sorted(set(other.values())):
         if c in pi:
@@ -485,30 +463,31 @@ def _recorded(steps) -> Callable:
 PIECES_BOUND = 4096
 
 
-def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
-           steps: list, after: Optional[list[int]] = None,
+def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
+           after: Optional[list[int]] = None,
            pieces: Optional[dict] = None) -> list[int]:
     """Colour h, whose vertex i is g's vertex back[i], and return the
     colouring in h's ids, renumbered by first occurrence.  The rule comes
-    from pick, and its step goes to steps, in pre-order, as (ids, rule,
-    cert): the scope's _Ids and its certificate in its own ids.  So each
-    call but a memo hit writes one step, a disconnected h included: its
-    rule is the empty clique cutset.  sub(m) induces h[m] from h, so the
-    vertex maps compose, and returns its colouring keyed by h's ids.
+    from pick, and its step goes to steps, in pre-order, as (scope, rule,
+    cert), the certificate in the scope's ids.  So each call but a memo hit
+    writes one step, a disconnected h included: its rule is the empty
+    clique cutset.  sub(m) induces h[m] from h, so the vertex maps compose,
+    and returns its colouring keyed by h's ids.
 
-    With pieces, a scope below the top with more than four vertices is
-    looked up by its adjacency.  A hit re-emits the stored steps through
-    back and returns the stored colouring; a miss stores them, with
-    vertices in h's ids, once the subtree succeeds.  The key can ignore
-    `after`: the clique-cutset floor is exact, so the whole subtree depends
-    on h alone."""
+    With pieces, each piece of a clique-cutset split (the only scopes with
+    an `after`) with more than four vertices is looked up by its adjacency.
+    A hit re-emits the stored steps through back and returns the stored
+    colouring; a miss stores them, with vertices in h's ids, once the
+    subtree succeeds.  The key can ignore `after`: the clique-cutset floor
+    is exact, so the whole subtree depends on h alone."""
     s = _Scope(h, back, after)
-    key = h.adj if pieces is not None and depth and h.n > 4 else None
+    key = (h.adj if pieces is not None and after is not None and h.n > 4
+           else None)
     hit = pieces.get(key) if key is not None else None
     if hit is not None:
         canon, done = hit
         for local, rule, cert in done:
-            steps.append((_Ids(s.orig(local)), rule, cert))
+            steps.append((_Scope(None, s.orig(local)), rule, cert))
         return canon
     start = len(steps)
 
@@ -517,8 +496,8 @@ def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
         piece, vmap = induced_subgraph(h, m)
         if after is not None:
             after = [vmap.index(v) for v in after]
-        return dict(zip(vmap, _solve(piece, [back[v] for v in vmap],
-                                     depth + 1, pick, steps, after, pieces)))
+        return dict(zip(vmap, _solve(piece, [back[v] for v in vmap], pick,
+                                     steps, after, pieces)))
 
     rule, cert = pick(s)
     steps.append((s, rule, cert))
@@ -528,16 +507,16 @@ def _solve(h: Graph, back: list[int], depth: int, pick: Callable,
     if key is not None:
         if len(pieces) >= PIECES_BOUND:
             pieces.clear()
-        pieces[key] = (canon, [(s.local(ids.back), rule, cert)
-                               for ids, rule, cert in steps[start:]])
+        pieces[key] = (canon, [(s.local(t.back), rule, cert)
+                               for t, rule, cert in steps[start:]])
     return canon
 
 
 def _trace(steps: list) -> ColoringTrace:
     """Encode the steps _solve appended, each in its own scope's ids."""
     return ColoringTrace(tuple(
-        TraceStep(rule.name, ids.mask, rule.encode(ids, cert))
-        for ids, rule, cert in steps))
+        TraceStep(rule.name, t.mask, rule.encode(t, cert))
+        for t, rule, cert in steps))
 
 
 def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
@@ -551,15 +530,15 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
     (expensive) test runs contains_isk4 first.
 
     pieces is an optional dict that a caller shares across graphs: each
-    piece below the top with more than four vertices is then coloured once
+    clique-cutset piece with more than four vertices is then coloured once
     while the dict holds it (see _solve), and emptied at PIECES_BOUND
     entries.  The colouring and trace are the same with or without it.
     """
     steps: list = []
     try:
-        col = _solve(g, list(range(g.n)), 0, _first_rule, steps, pieces=pieces)
+        col = _solve(g, list(range(g.n)), _first_rule, steps, pieces=pieces)
     except _Fail as exc:
-        return _refusal(g, exc.scope)
+        return _refusal(g, exc.args[0])
     out = _coloring(col)
     assert out.k <= 4 and out.validate(g)
     return out, _trace(steps)
@@ -573,7 +552,7 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     colouring; a trace that does not fit raises ValueError.
     """
     steps: list = []
-    col = _solve(g, list(range(g.n)), 0, _recorded(trace.steps), steps)
+    col = _solve(g, list(range(g.n)), _recorded(trace.steps), steps)
     # the re-encoded steps must give back the trace: this catches unused
     # steps and an encode/decode pair that drifts
     if _trace(steps).steps != tuple(trace.steps):

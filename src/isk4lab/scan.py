@@ -213,8 +213,9 @@ def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:
                 "line_no": res["line_no"], "graph6": res["g6"],
                 "check": "internal_error", "evidence": res["internal_error"]})
             continue
-        counters = report.per_n.setdefault(res["n"],
-                                           _blank_counters(cfg.checks))
+        counters = report.per_n.get(res["n"])
+        if counters is None:
+            counters = report.per_n[res["n"]] = _blank_counters(cfg.checks)
         counters["read"] += 1
         counters["isk4_free"] += res["isk4_free"]
         counters["contains_k123"] += res["k123"]

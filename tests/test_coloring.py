@@ -875,8 +875,12 @@ class TestPieceMemo:
     def test_top_and_small_pieces_not_stored(self):
         pieces = {}
         c5_pendant = Graph.from_edges(6, C5.edges() + [(0, 5)])
-        for g in (K123, HOST124, C6, c5_pendant):
+        # K_{2,2,2} plus a vertex on the path 0-2-1: no clique cutset, so
+        # vertex 6 is peeled and the octahedron left is coloured whole
+        octa_peel = parse_graph6("F]~v?")
+        for g in (K123, HOST124, C6, c5_pendant, octa_peel):
             structural_four_coloring(g, pieces=pieces)
         # c5_pendant splits at {0} into its C5 and an edge; every other
-        # scope is a top (HOST124 is peeled whole) or has at most 4 vertices
+        # scope is a top (HOST124 is peeled whole), a peel remainder (the
+        # octahedron), or has at most 4 vertices
         assert sorted(len(key) for key in pieces) == [5]

@@ -94,6 +94,18 @@ class TestCounters:
         assert report.failures == []
         assert report.consistent()
 
+    def test_one_counter_block_per_n(self, monkeypatch):
+        blocks = []
+        blank = scan._blank_counters
+        monkeypatch.setattr(scan, "_blank_counters",
+                            lambda checks: blocks.append(checks)
+                            or blank(checks))
+        lines = [line for n in range(1, 5) for line in enumerate_small(n)]
+        report = run(lines, checks=("ISK4-FILTER",))
+        assert len(lines) == 75 and sorted(report.per_n) == [1, 2, 3, 4]
+        # one block per n, plus the totals() that consistent() builds
+        assert len(blocks) == 5
+
     def test_budget_exceeded_is_counted_not_failed(self):
         bowtie = write_graph6(Graph.from_edges(
             5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]))
