@@ -1,12 +1,12 @@
 """Exact chromatic search, leaf-class colourers, and the structural
 4-colouring recursion.
 
-`structural_four_coloring` applies the first matching rule at each level:
-trivial size, clique cutset (the empty one on a disconnected graph), a peel
-of the vertices of degree at most three, coloured last, then on what is
-left, a 4-core, complete multipartite and subcubic line graph.  It returns
-the colouring together with a replayable trace of the applied rules, or a
-structured failure naming the expectation that broke.
+`structural_four_coloring` gives at most four vertices distinct colours,
+else applies the first matching rule: clique cutset (the empty one on a
+disconnected graph), a peel of the vertices of degree at most three,
+coloured last, then on what is left, a 4-core, complete multipartite and
+subcubic line graph.  It returns the colouring with a replayable trace of
+the applied rules, or a structured failure naming the broken expectation.
 
 Each trace rule is one entry of the rule table `_TABLE`, whose find only
 recognises: it gives a certificate or None.  Search and `replay_trace` run
@@ -241,10 +241,10 @@ def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
 
 
 class _Scope:
-    """One instance of the recursion, the graph h (None in a step that a
-    memo hit re-emits); rules work in h's ids, vertex i being g's back[i].
-    A piece of a clique-cutset split keeps its parent's cutset (in its own
-    ids) as `after`, the floor of its own clique-cutset search."""
+    """One instance of the recursion on more than four vertices, the graph h
+    (None in a step that a memo hit re-emits); rules work in h's ids, vertex
+    i being g's back[i].  A clique-cutset piece keeps its parent's cutset
+    (in its own ids) as `after`, the floor of its own search."""
 
     def __init__(self, h: Optional[Graph], back: list[int],
                  after: Optional[list[int]] = None):
@@ -286,11 +286,6 @@ def _merge(base: dict[int, int], other: dict[int, int],
     return out
 
 
-def _trivial(s: _Scope) -> Optional[int]:
-    # small instances take distinct colours; the certificate is the size
-    return s.h.n if s.h.n <= 4 else None
-
-
 def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> dict[int, int]:
     smask = mask_of(cc.vertices)
     merged: Optional[dict[int, int]] = None
@@ -328,7 +323,7 @@ def _peel(s: _Scope, order: list[int], sub) -> dict[int, int]:
     # each peeled vertex sees at most three vertices coloured before it:
     # the rest and the vertices peeled after it
     rest = s.h.vertex_mask & ~mask_of(order)
-    out = sub(rest) if rest else {}
+    out = sub(rest)
     for v in reversed(order):
         out[v] = min(set(range(4)) - {out.get(u) for u in bits(s.h.adj[v])})
     return out
@@ -345,11 +340,6 @@ def _peel(s: _Scope, order: list[int], sub) -> dict[int, int]:
 _Rule = namedtuple("_Rule", "name find encode decode apply check",
                    defaults=(lambda s, cert: cert.validate(s.h),))
 _TABLE = (
-    _Rule("Trivial", find=_trivial,
-          encode=lambda s, n: {},
-          decode=lambda s, d: _trivial(s),
-          check=lambda s, n: n is not None,
-          apply=lambda s, n, sub: range(n)),
     _Rule("CliqueCutsetSplit",
           find=lambda s: find_clique_cutset(s.h, after=s.after),
           encode=lambda s, cc: {"cutset": s.orig(cc.vertices)},
@@ -444,9 +434,6 @@ def _recorded(steps) -> Callable:
         rule = next((r for r in _TABLE if r.name == st.rule), None)
         if rule is None:
             raise ValueError(f"unknown trace rule {st.rule!r}")
-        # Trivial pre-empts every other rule, as it does in search
-        if rule.name != "Trivial" and _trivial(s) is not None:
-            raise ValueError("trace step does not match the recursion")
         try:
             cert = rule.decode(s, st.detail)
             ok = rule.check(s, cert)
@@ -467,12 +454,12 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
            after: Optional[list[int]] = None,
            pieces: Optional[dict] = None) -> list[int]:
     """Colour h, whose vertex i is g's vertex back[i], and return the
-    colouring in h's ids, renumbered by first occurrence.  The rule comes
-    from pick, and its step goes to steps, in pre-order, as (scope, rule,
-    cert), the certificate in the scope's ids.  So each call but a memo hit
-    writes one step, a disconnected h included: its rule is the empty
-    clique cutset.  sub(m) induces h[m] from h, so the vertex maps compose,
-    and returns its colouring keyed by h's ids.
+    colouring in h's ids, renumbered by first occurrence.  At most four
+    vertices take distinct colours.  Else pick gives the rule, and its step
+    goes to steps in pre-order as (scope, rule, cert), the certificate in
+    the scope's ids: one step per call but a memo hit, a disconnected h too
+    (its rule is the empty clique cutset).  sub(m) induces h[m] from h, so
+    vertex maps compose, and returns its colouring keyed by h's ids.
 
     With pieces, each piece of a clique-cutset split (the only scopes with
     an `after`) with more than four vertices is looked up by its adjacency.
@@ -480,9 +467,10 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
     colouring; a miss stores them, with vertices in h's ids, once the
     subtree succeeds.  The key can ignore `after`: the clique-cutset floor
     is exact, so the whole subtree depends on h alone."""
+    if h.n <= 4:
+        return list(range(h.n))
     s = _Scope(h, back, after)
-    key = (h.adj if pieces is not None and after is not None and h.n > 4
-           else None)
+    key = h.adj if pieces is not None and after is not None else None
     hit = pieces.get(key) if key is not None else None
     if hit is not None:
         canon, done = hit
@@ -524,10 +512,10 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
                                         ColoringFailure]:
     """Colour g with at most four colours by structural recursion.
 
-    Returns (Coloring, ColoringTrace), or a ColoringFailure carrying the
-    violated expectation.  The intended domain is graphs with no induced K4
-    subdivision, which is assumed, not tested: a caller that wants the
-    (expensive) test runs contains_isk4 first.
+    Returns (Coloring, ColoringTrace), the trace empty when g.n <= 4, or a
+    ColoringFailure naming the broken expectation.  The intended domain,
+    graphs with no induced K4 subdivision, is assumed, not tested: a caller
+    that wants the (expensive) test runs contains_isk4 first.
 
     pieces is an optional dict that a caller shares across graphs: each
     clique-cutset piece with more than four vertices is then coloured once

@@ -214,9 +214,7 @@ def iter_induced_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
             if w <= s or pmask >> w & 1:
                 continue
             inter = g.adj[w] & pmask
-            if len(path) == 1:
-                yield from extend(path + [w], pmask | 1 << w)
-            elif inter == 1 << last:
+            if inter == 1 << last:
                 yield from extend(path + [w], pmask | 1 << w)
             elif inter == (1 << last | 1 << s) and path[1] < w:
                 yield tuple(path) + (w,)

@@ -411,8 +411,8 @@ class TestFourCores:
 
 def test_kernel_graph_traces_are_pinned():
     # the seeded series-parallel graphs with n = 20..40: a sha256 over each
-    # graph's trace steps and colouring, taken when LowDegreePeel replaced
-    # the K_{1,2,n} peel and the exact fallback
+    # graph's trace steps and colouring, taken when scopes of at most four
+    # vertices stopped writing a step
     h = hashlib.sha256()
     for g in kernel_graphs():
         if g.n < 20:
@@ -422,7 +422,7 @@ def test_kernel_graph_traces_are_pinned():
                              for s in t.steps]).encode())
         h.update(json.dumps(c.color).encode())
     assert h.hexdigest() == \
-        "63b8a179d041f0a295b56c6f31cfc31a76bac7a9adbcf9843f710653f4d6dc33"
+        "9065041e1744de8674173c9ae6b85e710669059e485f79174f8d54deb0db8fd0"
 
 
 class TestMultipartiteColorer:
@@ -486,7 +486,7 @@ class TestPipelineExamples:
     def test_two_k4_clique_cutset(self):
         c, t = pipeline_ok(TWO_K4)
         assert c.k == 4
-        assert t.rules() == ["CliqueCutsetSplit", "Trivial", "Trivial"]
+        assert t.rules() == ["CliqueCutsetSplit"]
         assert t.steps[0].detail["cutset"] == [1, 2, 3]
 
     def test_k12n_peel_host(self):
@@ -521,9 +521,9 @@ class TestPipelineExamples:
         # a disconnected graph splits at the empty clique cutset
         c, t = pipeline_ok(TWO_K4_APART)
         assert c.k == 4
-        assert t.rules() == ["CliqueCutsetSplit", "Trivial", "Trivial"]
+        assert t.rules() == ["CliqueCutsetSplit"]
         assert t.steps[0].detail["cutset"] == []
-        assert [s.scope for s in t.steps] == [0xFF, 0x0F, 0xF0]
+        assert [s.scope for s in t.steps] == [0xFF]
 
     def test_empty_graph(self):
         c, t = pipeline_ok(Graph.from_edges(0, []))
@@ -531,7 +531,7 @@ class TestPipelineExamples:
 
     def test_small_graphs_take_distinct_colors(self):
         c, t = pipeline_ok(P3)
-        assert c.color == (0, 1, 2) and t.rules() == ["Trivial"]
+        assert c.color == (0, 1, 2) and t.rules() == []
 
     def test_k5_bound_exceeded(self):
         r = structural_four_coloring(K5)
@@ -601,9 +601,23 @@ class TestTraceReplay:
 
     def test_replay_rejects_extra_step(self):
         _, t = pipeline_ok(K123)
-        extra = ColoringTrace(t.steps + (TraceStep("Trivial", 0x3F),))
+        extra = ColoringTrace(t.steps + t.steps[-1:])
         with pytest.raises(ValueError):
             replay_trace(K123, extra)
+
+    def test_small_scopes_replay_without_steps(self):
+        assert replay_trace(P3, ColoringTrace(())).color == (0, 1, 2)
+
+    @pytest.mark.parametrize("g,steps", [
+        # TWO_K4's trace from when each piece wrote a Trivial step
+        (TWO_K4, (TraceStep("CliqueCutsetSplit", 31, {"cutset": [1, 2, 3]}),
+                  TraceStep("Trivial", 15), TraceStep("Trivial", 30))),
+        (P3, (TraceStep("LowDegreePeel", 0b111, {"order": [0, 1, 2]}),)),
+    ])
+    def test_replay_rejects_steps_on_small_scopes(self, g, steps):
+        # scopes of at most four vertices take distinct colours, no rule
+        with pytest.raises(ValueError):
+            replay_trace(g, ColoringTrace(steps))
 
     def test_replay_rejects_tampered_witness(self):
         _, t = pipeline_ok(K123)
@@ -733,13 +747,9 @@ PINNED_TRACES = [
     (K223, [{"rule": "Multipartite", "scope": 127,
              "detail": {"parts": [[0, 1], [2, 3], [4, 5, 6]]}}]),
     (TWO_K4, [{"rule": "CliqueCutsetSplit", "scope": 31,
-               "detail": {"cutset": [1, 2, 3]}},
-              {"rule": "Trivial", "scope": 15, "detail": {}},
-              {"rule": "Trivial", "scope": 30, "detail": {}}]),
+               "detail": {"cutset": [1, 2, 3]}}]),
     (TWO_K4_APART, [{"rule": "CliqueCutsetSplit", "scope": 255,
-                     "detail": {"cutset": []}},
-                    {"rule": "Trivial", "scope": 15, "detail": {}},
-                    {"rule": "Trivial", "scope": 240, "detail": {}}]),
+                     "detail": {"cutset": []}}]),
     (C5, [{"rule": "LowDegreePeel", "scope": 31,
            "detail": {"order": [0, 1, 2, 3, 4]}}]),
     (HOST124, [{"rule": "LowDegreePeel", "scope": 1023,
