@@ -491,7 +491,7 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
     steps.append((s, rule, cert))
     col = rule.apply(s, cert, sub)
     canon = _canon_list(col[v] for v in range(h.n))
-    assert max(canon, default=0) < 4
+    assert max(canon) < 4
     if key is not None:
         if len(pieces) >= PIECES_BOUND:
             pieces.clear()
