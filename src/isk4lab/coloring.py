@@ -154,9 +154,9 @@ def _canon_list(colors: Iterable[int]) -> list[int]:
     return [ren.setdefault(c, len(ren)) for c in colors]
 
 
-def _coloring(colors: Iterable[int]) -> Coloring:
-    """The colouring renumbered by first occurrence; k is the count used."""
-    col = _canon_list(colors)
+def _coloring(col: list[int]) -> Coloring:
+    """A colouring already numbered by first occurrence; k is the count
+    used."""
     return Coloring(tuple(col), max(col, default=-1) + 1)
 
 
@@ -192,7 +192,7 @@ def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
     for k in range(_first_level(g), hi + 1):
         raw = _backtrack(g, k)
         if raw is not None:
-            out = _coloring(raw)
+            out = _coloring(_canon_list(raw))
             assert out.validate(g)
             return out
     return None
@@ -232,7 +232,7 @@ def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
 
     # max degree 3 guarantees a 4-edge-colouring exists
     assert go(0, 0), "subcubic root failed to 4-edge-colour"
-    out = _coloring(col)
+    out = _coloring(_canon_list(col))
     assert out.validate(g)
     return out
 
@@ -458,8 +458,10 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
     vertices take distinct colours.  Else pick gives the rule, and its step
     goes to steps in pre-order as (scope, rule, cert), the certificate in
     the scope's ids: one step per call but a memo hit, a disconnected h too
-    (its rule is the empty clique cutset).  sub(m) induces h[m] from h, so
-    vertex maps compose, and returns its colouring keyed by h's ids.
+    (its rule is the empty clique cutset).  sub(m) returns h[m]'s colouring
+    keyed by h's ids: at most four vertices take distinct colours in vertex
+    order, without inducing h[m]; else h[m] is induced from h, so vertex
+    maps compose.
 
     With pieces, each piece of a clique-cutset split (the only scopes with
     an `after`) with more than four vertices is looked up by its adjacency.
@@ -481,6 +483,8 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
 
     def sub(m: int, after: Optional[Iterable[int]] = None) -> dict[int, int]:
         assert m != h.vertex_mask, "every rule must shrink its instance"
+        if m.bit_count() <= 4:
+            return {v: i for i, v in enumerate(bits(m))}
         piece, vmap = induced_subgraph(h, m)
         if after is not None:
             after = [vmap.index(v) for v in after]

@@ -7,8 +7,8 @@ against the host graph, independently of the search that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, dropwhile
-from typing import Iterable, Optional
+from itertools import combinations
+from typing import Iterable, Iterator, Optional
 
 from .graphs import (Graph, bits, chain, components, is_clique, is_connected,
                      is_hole, mask_of)
@@ -65,15 +65,31 @@ def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
     return walk[-1] == b and len(walk) == sub.bit_count() - 1
 
 
-def _small_cliques(g: Graph):
+def _small_cliques(g: Graph, floor: Optional[tuple[int, ...]] = None
+                   ) -> Iterator[tuple[int, ...]]:
     """Cliques of at most three vertices as sorted tuples, in the order
-    find_clique_cutset tries them."""
+    find_clique_cutset tries them, from the first one after floor (a sorted
+    tuple), or every one when floor is None.  A size other than the floor's
+    starts after a tuple below all of its cliques: (-1,), (0, -1) or
+    (0, 0, -1)."""
     up = [row >> u + 1 << u + 1 for u, row in enumerate(g.adj)]  # above u
-    yield ()
-    yield from ((u,) for u in range(g.n))
-    yield from ((u, v) for u in range(g.n) for v in bits(up[u]))
-    yield from ((u, v, w) for u in range(g.n) for v in bits(up[u])
-                for w in bits(up[u] & up[v]))
+    n = g.n
+    k = -1 if floor is None else len(floor)
+    if k < 0:
+        yield ()
+    if k <= 1:
+        a, = floor if k == 1 else (-1,)
+        yield from ((u,) for u in range(a + 1, n))
+    if k <= 2:
+        a, b = floor if k == 2 else (0, -1)
+        yield from ((u, v) for u in range(a, n)
+                    for v in bits(up[u] if u != a else up[u] >> b + 1 << b + 1))
+    if k <= 3:
+        a, b, c = floor if k == 3 else (0, 0, -1)
+        yield from ((u, v, w) for u in range(a, n)
+                    for v in bits(up[u] if u != a else up[u] >> b << b)
+                    for w in bits(up[u] & up[v] if u != a or v != b
+                                  else up[u] & up[v] >> c + 1 << c + 1))
 
 
 def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
@@ -86,10 +102,10 @@ def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
     adj[u] & adj[v], every group ascending.  The first one whose removal
     leaves g disconnected is returned.
 
-    `after` is a floor: every candidate at or before it in that order is
-    skipped.  It is exact for a piece of a clique-cutset split.  Let C be
-    the least clique cutset of a graph G, K a component of G - C, and g =
-    G[K ∪ C].  Take a clique S of g with S != C and (|S|, S) < (|C|, C).
+    `after` is a floor: the candidates start at the first one after it in
+    that order, none at or before it being generated.  It is exact for a
+    piece of a clique-cutset split.  Let C be the least clique cutset of a
+    graph G, K a component of G - C, and g = G[K ∪ C].  Take a clique S of g with S != C and (|S|, S) < (|C|, C).
     Then S misses a vertex of C.  If g - S were disconnected, some component
     of g - S would avoid the clique C \\ S; it lies inside K, whose
     G-neighbours lie in K ∪ C, so S would be a clique cutset of G before C.
@@ -106,11 +122,8 @@ def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
     full = g.vertex_mask
     if is_hole(g, full):
         return None
-    cands: Iterable[tuple[int, ...]] = _small_cliques(g)
-    if after is not None:
-        floor = tuple(sorted(after))
-        cands = dropwhile(lambda c: (len(c), c) <= (len(floor), floor), cands)
-    for c in cands:
+    floor = None if after is None else tuple(sorted(after))
+    for c in _small_cliques(g, floor):
         if not is_connected(g, full & ~mask_of(c)):
             return CliqueCutset(c)
     return None

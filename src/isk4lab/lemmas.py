@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import Graph, bits, is_clique, is_induced_cycle, is_induced_path, mask_of
+from .graphs import (Graph, attachment, bits, components, is_clique,
+                     is_induced_cycle, is_induced_path, mask_of)
 from .patterns import (
     K12nEmbedding,
     PatternWitness,
@@ -265,12 +266,23 @@ def _link(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
     if f.isk4 is not None:
         return None
     g = f.g
+    # a linkage's three paths leave v through distinct neighbours, so v has
+    # degree >= 3, and end at distinct cycle vertices that v's component of
+    # g - C sees, as every path's interior lies in it: a pair failing either
+    # test is not linked, and is_linked is not asked
+    branch = mask_of(v for v in range(g.n) if g.adj[v].bit_count() >= 3)
 
     def instances():
         for cycle in iter_induced_cycles(g):
             yield None  # the cycle is an instance too, as is each pair below
-            for v in bits(g.vertex_mask & ~mask_of(cycle)):
-                w = is_linked(g, cycle, v)
+            cmask = mask_of(cycle)
+            rest = g.vertex_mask & ~cmask
+            able = 0
+            for comp in components(g, rest):
+                if comp & branch and attachment(g, cmask, comp).bit_count() >= 3:
+                    able |= comp & branch
+            for v in bits(rest):
+                w = is_linked(g, cycle, v) if able >> v & 1 else None
                 yield None if w is None else \
                     {"cycle": cycle, "vertex": v, "paths": w.paths}
 

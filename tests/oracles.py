@@ -6,11 +6,13 @@ actually means something.
 """
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, dropwhile
 
 import networkx as nx
 
-from isk4lab.graphs import Graph, bits, components, is_induced_path, mask_of
+from isk4lab.graphs import (Graph, bits, components, is_clique, is_connected,
+                            is_induced_path, mask_of)
+from isk4lab.lemmas import is_linked, iter_induced_cycles
 from isk4lab.patterns import SquareLinkStructure, _classify_link
 
 
@@ -111,6 +113,25 @@ def brute_linked(g, cycle, v):
     return False
 
 
+def link_unpruned(f):
+    """lemmas' L-LINK entry before its pruning: is_linked on every (induced
+    cycle, off-cycle vertex) pair, in the same order and with the same
+    items."""
+    if f.isk4 is not None:
+        return None
+    g = f.g
+
+    def instances():
+        for cycle in iter_induced_cycles(g):
+            yield None
+            for v in bits(g.vertex_mask & ~mask_of(cycle)):
+                w = is_linked(g, cycle, v)
+                yield None if w is None else \
+                    {"cycle": cycle, "vertex": v, "paths": w.paths}
+
+    return instances()
+
+
 # -- complete multipartite / K_{1,2,n} ------------------------------------
 
 
@@ -184,6 +205,21 @@ def least_clique_cutset(g, kmax=3):
             if all(h.has_edge(u, v) for u, v in combinations(cut, 2)) and \
                     _nx_disconnects(h, cut):
                 return cut
+    return None
+
+
+def clique_cutset_after(g, after):
+    """find_clique_cutset(g, after) as it was searched before candidates
+    started at the floor: every clique of at most three vertices by (size,
+    sorted tuple), those at or before the sorted floor dropped one by one,
+    then the first whose removal disconnects g.  Chordless cycles are
+    searched too: none of their candidates disconnects them."""
+    floor = tuple(sorted(after))
+    cands = (c for r in range(4) for c in combinations(range(g.n), r)
+             if is_clique(g, mask_of(c)))
+    for c in dropwhile(lambda c: (len(c), c) <= (len(floor), floor), cands):
+        if not is_connected(g, g.vertex_mask & ~mask_of(c)):
+            return c
     return None
 
 

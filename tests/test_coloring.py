@@ -533,6 +533,21 @@ class TestPipelineExamples:
         c, t = pipeline_ok(P3)
         assert c.color == (0, 1, 2) and t.rules() == []
 
+    def test_small_pieces_are_not_induced(self, monkeypatch):
+        # a piece of at most four vertices takes distinct colours straight
+        # from its mask, on every graph with n <= 6
+        real, sizes = coloring.induced_subgraph, set()
+
+        def induced(h, m):
+            sizes.add(m.bit_count())
+            return real(h, m)
+
+        monkeypatch.setattr(coloring, "induced_subgraph", induced)
+        for n in range(7):
+            for g in all_graphs(n):
+                structural_four_coloring(g)
+        assert min(sizes) == 5
+
     def test_k5_bound_exceeded(self):
         r = structural_four_coloring(K5)
         assert isinstance(r, ColoringFailure)

@@ -103,6 +103,19 @@ class TestCliqueCutset:
         assert find_clique_cutset(path, after=(2, 1)) == CliqueCutset((2, 3))
         assert find_clique_cutset(path, after=(2, 3)) is None
 
+    def test_floor_starts_the_candidates(self):
+        # every graph with n <= 5 and every floor of at most four vertices,
+        # a clique or not, sorted and reversed: the same cutset as the
+        # search that dropped the candidates up to the floor one by one
+        for n in range(6):
+            floors = [f for r in range(5) for f in combinations(range(n), r)]
+            for g in all_graphs(n):
+                for f in floors:
+                    want = oracles.clique_cutset_after(g, f)
+                    for after in (f, f[::-1]):
+                        got = find_clique_cutset(g, after=after)
+                        assert (got and got.vertices) == want, (g.code(), after)
+
     def test_two_k33_sharing_an_edge(self):
         # ISK4-free, triangle-free, minimum degree 3 and not complete
         # bipartite: only with no clique cutset does a triangle-free

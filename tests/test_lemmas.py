@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from isk4lab import lemmas
 from isk4lab.graphs import (Graph, attachment, bits, components, is_clique,
                             mask_of, parse_graph6)
 from isk4lab.lemmas import (
@@ -18,7 +19,7 @@ from isk4lab.lemmas import (
 )
 from isk4lab.patterns import (K12nEmbedding, contains_isk4, is_maximal_k12n,
                               iter_maximal_k12n)
-from oracles import brute_linked
+from oracles import brute_linked, link_unpruned
 from test_graphs import random_graph_strategy
 from test_patterns import K33, K123, all_graphs
 
@@ -30,6 +31,7 @@ LINK_HOST = Graph.from_edges(7, K123.edges() + [(3, 6), (4, 6)])
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 FIXTURE = Path(__file__).parent / "fixtures" / "scan_stream_100k.g6"
 PAST_N7 = Path(__file__).parent / "fixtures" / "past_n7.g6"
+FOUR_CORES = Path(__file__).parent / "fixtures" / "four_cores.g6"
 # the middle path vertex must see a, otherwise the b1..b2 stretch closes an
 # induced K4 subdivision and the L-COMP hypotheses fail
 COMP_HOST = Graph.from_edges(9, K123.edges()
@@ -295,6 +297,32 @@ class TestCheckLemma:
             r = check_lemma(g, lemma, budget=20000)
             assert r.conclusion_holds is not False
             assert r.consistent()
+
+
+def test_link_pruning_reports_as_the_unpruned_loop(monkeypatch):
+    """L-LINK asks is_linked only of a vertex of degree >= 3 whose component
+    off the cycle sees three cycle vertices, and reports what the loop that
+    asks of every pair reports, budget for budget.  The facts say "no ISK4"
+    of every graph, so that linked pairs occur: a linkage closes an induced
+    K4 subdivision, and no vertex of an ISK4-free graph is linked."""
+    lines = [line for path in (PAST_N7, FOUR_CORES)
+             for line in path.read_text().split()]
+    lines += FIXTURE.read_text().splitlines()[:3000]
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    graphs += map(parse_graph6, lines)
+    budgets = (None, 1, 7, 50)
+
+    def reports():
+        return [[check_lemma(GraphFacts(g, None), "L-LINK", b) for b in budgets]
+                for g in graphs]
+
+    pruned = reports()
+    monkeypatch.setitem(lemmas._LEMMAS, "L-LINK", link_unpruned)
+    unpruned = reports()
+    # the graphs with a linked pair: 9,484 of the universe, 969 lines
+    assert sum(r[0].conclusion_holds is False for r in unpruned) == 10453
+    for g, got, want in zip(graphs, pruned, unpruned):
+        assert got == want, g.code()
 
 
 # past_n7.g6 line by line: the L-COMP counterwitness, as (embedding,
