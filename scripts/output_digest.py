@@ -62,7 +62,7 @@ def digests(limit: int | None = None) -> dict[str, str]:
     limit caps the fixture lines, the universe and the ladder graphs.
     check-lemma reads ISK4LAB_BUDGET, which the child process goes without."""
     from isk4lab import cli, coloring, lemmas, scan
-    from isk4lab.graphs import bits, components, parse_graph6
+    from isk4lab.graphs import Graph, bits, components, parse_graph6, write_graph6
     from isk4lab.patterns import iter_maximal_k12n
     from bench import ladders
 
@@ -72,6 +72,7 @@ def digests(limit: int | None = None) -> dict[str, str]:
     fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
     past = (FIXTURES / "past_n7.g6").read_text().split()
     cores = (FIXTURES / "four_cores.g6").read_text().split()
+    cycles = [write_graph6(Graph.cycle(n)) for n in range(8, 21)]
     universe = [x for n in range(1, 7) for x in scan.enumerate_small(n)]
     fam = {name: hashlib.sha256() for name in FAMILIES}
 
@@ -94,7 +95,7 @@ def digests(limit: int | None = None) -> dict[str, str]:
                     "rich-square")],
         "check-lemma": [["check-lemma", "--id", i] for i in lemmas.LEMMA_IDS],
     }
-    for line in cap(fixture, 3000) + past + cores:
+    for line in cap(fixture, 3000) + past + cores + cycles:
         for name, argvs in commands.items():
             for argv in argvs:
                 add(name, _cli(cli, argv, line))

@@ -227,11 +227,11 @@ def _cmd_scan(args) -> int:
                 report = scan_stream(fh, cfg)
         except OSError as exc:
             raise _CliError(str(exc)) from None
+    tot = report.totals()
     if not args.quiet:
         print(report.to_json())
-        print(f"scanned {report.totals()['read']} graphs "
+        print(f"scanned {tot['read']} graphs "
               f"in {report.wall_time:.1f}s", file=sys.stderr)
-    tot = report.totals()
     dirty = report.parse_failures > 0 or report.internal_errors > 0 or \
         any(by["fail"] for by in tot["checks"].values())
     return EXIT_WITNESS if dirty else EXIT_OK

@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .graphs import (Graph, bits, chain, components, is_clique, is_connected,
-                     is_hole, mask_of)
+                     mask_of)
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,8 @@ def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
     find_clique_cutset(g, after=C) == find_clique_cutset(g), with C in g's
     ids (an induced subgraph keeps the vertex order, so the order of
     candidates is the same in g's ids as in G's).
-
-    A chordless cycle on n >= 4 vertices has none, so it returns None at
-    once: it has no triangle, the empty set does not cut it (it is
-    connected), and removing one vertex or the two ends of one edge leaves
-    a path.
     """
     full = g.vertex_mask
-    if is_hole(g, full):
-        return None
     floor = None if after is None else tuple(sorted(after))
     for c in _small_cliques(g, floor):
         if not is_connected(g, full & ~mask_of(c)):

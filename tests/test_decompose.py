@@ -4,7 +4,7 @@ import networkx as nx
 from hypothesis import given, settings
 
 import oracles
-from isk4lab import decompose, graphs
+from isk4lab import decompose
 from isk4lab.decompose import (
     CliqueCutset,
     MultipartiteCert,
@@ -199,30 +199,21 @@ TWO_C5 = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                           + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
 
 
-class TestHoleGate:
-    """The clique-cutset finder returns at once on a chordless cycle, and
-    only on a connected one."""
+class TestCycles:
+    """A chordless cycle has neither kind of cutset; two disjoint cycles and
+    a cycle with a chord have both."""
 
-    def test_cycles_have_neither_cutset_and_search_no_candidate(self, monkeypatch):
-        # C_4..C_40: one connectivity test per clique-cutset call for the
-        # gate, which graphs.is_hole makes, and none for a candidate
-        calls = []
-        for module, name in ((graphs, "is_connected"), (decompose, "is_connected"),
-                             (decompose, "components")):
-            real, tag = getattr(module, name), f"{module.__name__}.{name}"
-            monkeypatch.setattr(module, name, lambda *a, real=real, tag=tag:
-                                calls.append(tag) or real(*a))
-        for n in range(4, 41):
+    def test_cycles_have_neither_cutset(self):
+        # no triangle, connected, and removing a vertex or an edge's two
+        # ends leaves a path, so no candidate disconnects, floor or not
+        for n in range(4, 63):
             g = Graph.cycle(n)
-            assert find_clique_cutset(g) is None
-            assert find_clique_cutset(g, after=(0,)) is None
-            assert calls == ["isk4lab.graphs.is_connected"] * 2, n
-            assert find_proper_2cutset(g) is None
-            calls.clear()
+            assert find_clique_cutset(g) is None, n
+            assert find_clique_cutset(g, after=(0,)) is None, n
+            assert find_proper_2cutset(g) is None, n
 
     def test_two_disjoint_cycles_keep_their_cutsets(self):
         assert find_clique_cutset(TWO_C5) == CliqueCutset(())
-        # the answer the search gave before the gate existed
         got = find_proper_2cutset(TWO_C5)
         assert got == Proper2Cutset(0, 2, mask_of((1, 3, 4)),
                                     mask_of(range(5, 10)))

@@ -9,7 +9,7 @@ import pytest
 
 import isk4lab.lemmas as lemmas
 import isk4lab.scan as scan
-from isk4lab.coloring import ColoringFailure
+from isk4lab.coloring import Coloring, ColoringFailure
 from isk4lab.graphs import Graph, parse_graph6, write_graph6
 from isk4lab.scan import CHECKS, ScanConfig, enumerate_small, scan_stream
 
@@ -338,6 +338,26 @@ class TestColourOnce:
             run(SMALL).totals()["checks"]["CHI-LE-4"]
         assert [(w["graph6"], w["check"]) for w in report.failures] == \
             [(target, "STRUCTURAL-COLOR")]
+
+    def test_improper_colouring_fails_and_exact_decides(self, monkeypatch):
+        target = self.target
+
+        def plant(g, out):
+            if write_graph6(g) != target:
+                return out
+            return Coloring((0,) * g.n, 1), out[1]  # target has edges
+
+        calls = self.count_calls(monkeypatch, plant)
+        report = run(SMALL, checks=COLOUR_BOTH)
+        assert report.failures == [{
+            "line_no": self.line_no, "graph6": target,
+            "check": "STRUCTURAL-COLOR",
+            "evidence": {"reason": "returned colouring failed validation"}}]
+        tot = report.totals()
+        assert calls == {"structural": tot["isk4_free"], "exact": 1}
+        assert tot["checks"]["CHI-LE-4"]["fail"] == 0
+        assert tot["checks"]["CHI-LE-4"]["pass"] == tot["isk4_free"]
+        assert report.consistent()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_colouring_is_one_internal_error(self, monkeypatch, jobs):
