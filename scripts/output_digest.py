@@ -16,8 +16,9 @@ from the working tree.  The families:
 - ``color`` (structural, exact, exact ``--bound 3``), ``decompose``,
   ``detect`` (seven patterns) and ``check-lemma`` (three ids): each
   command's stdout and exit code on the first 3,000 fixture lines plus
-  the ``past_n7.g6`` and ``four_cores.g6`` graphs (the colouring's
-  ``SubcubicLineGraph`` rule colours none of the other inputs);
+  the ``past_n7.g6``, ``four_cores.g6`` and ``comp_n9.g6`` graphs (the
+  colouring's ``SubcubicLineGraph`` rule colours none of the other inputs)
+  and the cycles C_8..C_20;
 - ``attachments``: the tag and witness of both attachment classifiers on
   every maximal K_{1,2,n} of those graphs;
 - ``ladder``: colouring, trace and ``replay_trace`` of 330 seeded
@@ -60,7 +61,9 @@ def _cli(cli, argv: list[str], line: str) -> list:
 def digests(limit: int | None = None) -> dict[str, str]:
     """The sha256 of every family, for the isk4lab that imports first.
     limit caps the fixture lines, the universe and the ladder graphs.
-    check-lemma reads ISK4LAB_BUDGET, which the child process goes without."""
+    The child process goes without ISK4LAB_BUDGET: this CLI ignores it, but
+    older revisions, which --rev may digest, read it in check-lemma and
+    scan."""
     from isk4lab import cli, coloring, lemmas, scan
     from isk4lab.graphs import Graph, bits, components, parse_graph6, write_graph6
     from isk4lab.patterns import iter_maximal_k12n
@@ -72,6 +75,7 @@ def digests(limit: int | None = None) -> dict[str, str]:
     fixture = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
     past = (FIXTURES / "past_n7.g6").read_text().split()
     cores = (FIXTURES / "four_cores.g6").read_text().split()
+    comp_n9 = (FIXTURES / "comp_n9.g6").read_text().split()
     cycles = [write_graph6(Graph.cycle(n)) for n in range(8, 21)]
     universe = [x for n in range(1, 7) for x in scan.enumerate_small(n)]
     fam = {name: hashlib.sha256() for name in FAMILIES}
@@ -95,7 +99,7 @@ def digests(limit: int | None = None) -> dict[str, str]:
                     "rich-square")],
         "check-lemma": [["check-lemma", "--id", i] for i in lemmas.LEMMA_IDS],
     }
-    for line in cap(fixture, 3000) + past + cores + cycles:
+    for line in cap(fixture, 3000) + past + cores + comp_n9 + cycles:
         for name, argvs in commands.items():
             for argv in argvs:
                 add(name, _cli(cli, argv, line))

@@ -171,17 +171,19 @@ class MultipartiteCert:
 
 
 def recognize_complete_multipartite(g: Graph) -> Optional[MultipartiteCert]:
-    """Certificate iff the complement of g is a disjoint union of >= 2 cliques;
-    the parts are those cliques."""
-    co = g.complement()
-    parts = components(co, co.vertex_mask)
-    if len(parts) < 2:
-        return None
-    for p in parts:
-        for v in bits(p):
-            if g.adj[v] & p:
-                return None
-    return MultipartiteCert(tuple(parts))
+    """Certificate iff g has >= 2 parts: each unplaced vertex's
+    non-neighbourhood, itself included, is its part, and every member of a
+    part has the same neighbourhood."""
+    parts = []
+    rest = g.vertex_mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        part = g.vertex_mask & ~g.adj[v]
+        if any(g.adj[u] != g.adj[v] for u in bits(part)):
+            return None
+        parts.append(part)
+        rest &= ~part
+    return MultipartiteCert(tuple(parts)) if len(parts) >= 2 else None
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,13 @@ graph, and fold a deterministic machine-readable report.
 
 Work is split per input line; aggregation folds worker results in input
 order, so the serialized report is byte-identical no matter how many
-workers ran.  Wall time is kept off the JSON document for the same reason.
+workers ran.  The report holds no wall time; the CLI times its own call.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -71,7 +70,6 @@ class ScanReport:
     parse_failures: int = 0
     internal_errors: int = 0
     suppressed: dict[str, int] = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def totals(self) -> dict:
         tot = _blank_counters(self.config.checks)
@@ -233,7 +231,6 @@ def scan_stream(lines: Iterable[str], cfg: ScanConfig) -> ScanReport:
     parse failures and the scan continues.  A line whose checks raise is
     not counted in per_n; it becomes an internal_error witness with the
     exception's type and message, and the scan continues."""
-    start = time.perf_counter()
     items = enumerate(lines, start=1)
     _PIECES.clear()
     try:
@@ -246,7 +243,6 @@ def scan_stream(lines: Iterable[str], cfg: ScanConfig) -> ScanReport:
                                          chunksize=64), cfg)
     finally:
         _PIECES.clear()
-    report.wall_time = time.perf_counter() - start
     assert report.consistent()
     return report
 

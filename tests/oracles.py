@@ -10,6 +10,7 @@ from itertools import combinations, dropwhile
 
 import networkx as nx
 
+from isk4lab.decompose import MultipartiteCert
 from isk4lab.graphs import (Graph, bits, components, is_clique, is_connected,
                             is_induced_path, mask_of)
 from isk4lab.lemmas import is_linked, iter_induced_cycles
@@ -150,6 +151,21 @@ def multipartite_part_sizes(h):
                 if not h.has_edge(u, v):
                     return None
     return sorted(len(p) for p in parts)
+
+
+def multipartite_by_complement(g):
+    """The reference for recognize_complete_multipartite: the parts are the
+    components of the complement, each must be independent in g, and there
+    must be at least two."""
+    co = g.complement()
+    parts = components(co, co.vertex_mask)
+    if len(parts) < 2:
+        return None
+    for p in parts:
+        for v in bits(p):
+            if g.adj[v] & p:
+                return None
+    return MultipartiteCert(tuple(parts))
 
 
 def brute_is_maximal_k12n(g, emb):

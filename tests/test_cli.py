@@ -1,13 +1,14 @@
-"""CLI tests: exit-code taxonomy, JSON document shape, input plumbing, and
-the environment-variable budget default.  Commands run in-process through
-main(argv); one subprocess test covers the `isk4lab` entry point.  It runs
-the installed console script if one is on PATH, else what such a script runs:
-the [project.scripts] target from pyproject.toml, called as
+"""CLI tests: exit-code taxonomy, JSON document shape, input plumbing and
+the --budget flag.  Commands run in-process through main(argv); one
+subprocess test covers the `isk4lab` entry point.  It runs the installed
+console script if one is on PATH, else what such a script runs: the
+[project.scripts] target from pyproject.toml, called as
 `sys.exit(<attr>())`, so an uninstalled source tree is covered too."""
 
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -256,21 +257,6 @@ class TestCheckLemma:
         assert code == 0
         assert doc["budget_exceeded"] and doc["checked"] == 1
 
-    def test_budget_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISK4LAB_BUDGET", "1")
-        code, doc = run(capsys, "check-lemma", "--id", "l-link", BOWTIE)
-        assert doc["budget_exceeded"]
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISK4LAB_BUDGET", "1")
-        code, doc = run(capsys, "check-lemma", "--id", "l-link",
-                        "--budget", "100000", BOWTIE)
-        assert not doc["budget_exceeded"]
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISK4LAB_BUDGET", "soon")
-        assert main(["check-lemma", "--id", "l-link", BOWTIE]) == 2
-
     @pytest.mark.parametrize("lemma", ["link", "voh", "comp"])
     def test_id_either_case(self, capsys, lemma):
         lower = run(capsys, "check-lemma", "--id", "l-" + lemma, K124_PENDANT)
@@ -340,8 +326,10 @@ class TestScanCommand:
         assert code == 4
         assert [w["check"] for w in doc["failures"]] == ["internal_error"]
 
+    # only --budget sets the cap; ISK4LAB_BUDGET, which older releases
+    # read, is ignored
     @pytest.mark.parametrize("flag,env,want", [
-        (None, None, ScanConfig.budget), (None, "7", 7), ("5", "7", 5)])
+        (None, None, ScanConfig.budget), ("5", "7", 5)])
     def test_budget_sources(self, capsys, monkeypatch, flag, env, want):
         monkeypatch.delenv("ISK4LAB_BUDGET", raising=False)
         if env is not None:
@@ -352,6 +340,13 @@ class TestScanCommand:
         code, doc = run(capsys, *argv)
         assert doc["meta"]["budget"] == want
 
+    def test_wall_time_on_stderr_only(self, capsys):
+        assert main(["scan", "--checks", "ISK4-FILTER", FIXTURE]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"scanned 52 graphs in \d+\.\ds\n", captured.err)
+        assert "scanned" not in captured.out
+        assert json.loads(captured.out)["totals"]["read"] == 52
+
     def test_unknown_check_rejected(self, capsys):
         assert main(["scan", "--checks", "chi-le-5", FIXTURE]) == 2
 
@@ -359,20 +354,32 @@ class TestScanCommand:
         assert main(["scan", "--checks", "CHI-LE-4", "no/such/file.g6"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
+BUDGET_ARGV = pytest.mark.parametrize("argv", [
     ["check-lemma", "--id", "l-link", BOWTIE],
     ["scan", "--checks", "L-LINK", FIXTURE]], ids=["check-lemma", "scan"])
+
+
+@BUDGET_ARGV
 @pytest.mark.parametrize("flag,env", [
-    ("0", None), ("-3", None), ("x", None), (None, "0"), (None, "-3")])
+    ("0", None), ("-3", None), ("x", None), ("0", "7")])
 def test_budget_must_be_positive(capsys, monkeypatch, argv, flag, env):
-    # one rule for --budget and ISK4LAB_BUDGET on both subcommands
+    # one rule for --budget on both subcommands; a valid ISK4LAB_BUDGET
+    # does not stand in for a bad flag
     if env is not None:
         monkeypatch.setenv("ISK4LAB_BUDGET", env)
-    if flag is not None:
-        argv = [argv[0], "--budget", flag, *argv[1:]]
+    argv = [argv[0], "--budget", flag, *argv[1:]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@BUDGET_ARGV
+def test_budget_environment_ignored(capsys, monkeypatch, argv):
+    # ISK4LAB_BUDGET=1 would cut both documents short if it were read
+    monkeypatch.delenv("ISK4LAB_BUDGET", raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("ISK4LAB_BUDGET", "1")
+    assert run(capsys, *argv) == unset
 
 
 class TestEnumerateCommand:

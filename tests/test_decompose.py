@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 from hypothesis import given, settings
@@ -260,6 +261,21 @@ class TestMultipartite:
             else:
                 assert sorted(p.bit_count() for p in cert.parts) == sizes
                 assert cert.validate(g)
+
+    def test_matches_complement_recogniser(self):
+        fixtures = Path(__file__).parent / "fixtures"
+        lines = (fixtures / "scan_stream_100k.g6").read_text().split()[:3000]
+        lines += (fixtures / "past_n7.g6").read_text().split()
+        lines += (fixtures / "four_cores.g6").read_text().split()
+        graphs = [g for n in range(7) for g in all_graphs(n)]
+        graphs += map(parse_graph6, lines)
+        found = 0
+        for g in graphs:
+            cert = recognize_complete_multipartite(g)
+            assert cert == oracles.multipartite_by_complement(g), g
+            found += cert is not None
+        # Bell(n) - 1 labeled graphs for each n = 2..6, and 62 lines
+        assert found == 272 + 62
 
 
 class TestLineGraphSubcubic:

@@ -1,10 +1,13 @@
 import random
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
 from isk4lab import lemmas
+from isk4lab.coloring import replay_trace, structural_four_coloring
+from isk4lab.decompose import find_clique_cutset
 from isk4lab.graphs import (Graph, attachment, bits, components, is_clique,
                             mask_of, parse_graph6)
 from isk4lab.lemmas import (
@@ -17,9 +20,9 @@ from isk4lab.lemmas import (
     is_linked,
     iter_induced_cycles,
 )
-from isk4lab.patterns import (K12nEmbedding, contains_isk4, is_maximal_k12n,
-                              iter_maximal_k12n)
-from oracles import brute_linked, link_unpruned
+from isk4lab.patterns import (K12nEmbedding, contains_induced, contains_isk4,
+                              is_maximal_k12n, iter_maximal_k12n)
+from oracles import brute_linked, has_isk4, link_unpruned, to_nx
 from test_graphs import random_graph_strategy
 from test_patterns import K33, K123, all_graphs
 
@@ -31,6 +34,7 @@ LINK_HOST = Graph.from_edges(7, K123.edges() + [(3, 6), (4, 6)])
 BOWTIE = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 FIXTURE = Path(__file__).parent / "fixtures" / "scan_stream_100k.g6"
 PAST_N7 = Path(__file__).parent / "fixtures" / "past_n7.g6"
+COMP_N9 = Path(__file__).parent / "fixtures" / "comp_n9.g6"
 FOUR_CORES = Path(__file__).parent / "fixtures" / "four_cores.g6"
 # the middle path vertex must see a, otherwise the b1..b2 stretch closes an
 # induced K4 subdivision and the L-COMP hypotheses fail
@@ -366,6 +370,48 @@ def test_comp_counterwitnesses_past_n7():
         assert not is_clique(g, am), line
         both_b += nb == 2
     assert both_b == 3
+
+
+# comp_n9.g6 line by line, as PAST_N7_COMP, with the past_n7.g6 lines each
+# graph is isomorphic to
+COMP_N9_COMP = (
+    ("H^QC@^n", (8, (0, 7), (2, 5, 6)), (1, 3, 4), (0, 2, 7, 8),
+     ("HYENuFM",)),
+    ("HzYCEnM", (0, (7, 8), (1, 5, 6)), (2, 3, 4), (0, 1, 7, 8), ()),
+    ("H^LC@Nn", (2, (3, 8), (0, 1, 4)), (5, 6, 7), (0, 1, 2, 8),
+     ("HwrTkyS", "Hpw[QH~")),
+    ("HBjCA}~", (8, (0, 7), (4, 5, 6)), (1, 2, 3), (4, 5, 7, 8),
+     ("Hy\\HWzH",)),
+)
+
+
+def test_comp_counterwitnesses_n9():
+    """The four n = 9 classes of L-COMP counterwitness: ISK4-free graphs
+    with an induced K_{1,2,3}, minimum degree 3 and no clique cutset, whose
+    structural colouring validates and replays.  HzYCEnM is the one class
+    that past_n7.g6 does not hold."""
+    assert COMP_N9.read_text().split() == [row[0] for row in COMP_N9_COMP]
+    past = [(line, to_nx(parse_graph6(line)))
+            for line in PAST_N7.read_text().split()]
+    seen = []
+    for line, emb, comp, att, twins in COMP_N9_COMP:
+        g = parse_graph6(line)
+        r = check_lemma(g, "L-COMP")
+        assert r.hypothesis_satisfied and r.conclusion_holds is False, line
+        assert r.checked == 1 and r.consistent(), line
+        assert r.counterwitness == {"embedding": emb, "component": comp,
+                                    "attachment": att}, line
+        assert contains_isk4(g) is None and not has_isk4(g), line
+        assert contains_induced(g, K123) is not None, line
+        assert min(map(g.degree, range(g.n))) == 3, line
+        assert find_clique_cutset(g) is None, line
+        col, trace = structural_four_coloring(g)
+        assert col.validate(g) and replay_trace(g, trace) == col, line
+        h = to_nx(g)
+        assert not any(nx.is_isomorphic(h, other) for other in seen), line
+        seen.append(h)
+        assert tuple(p for p, other in past
+                     if nx.is_isomorphic(h, other)) == twins, line
 
 
 class TestGraphFacts:
