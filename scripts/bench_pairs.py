@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import shlex
+import signal
 import statistics
 import subprocess
 import sys
@@ -144,6 +145,13 @@ def src_lines(tree: Path) -> int:
                for f in (tree / "src").rglob("*.py"))
 
 
+def exit_on_sigterm(signum, frame):
+    """A SIGTERM handler that exits as sys.exit does: `with` blocks unwind,
+    so a temporary directory is removed and subprocess.run kills its
+    child."""
+    raise SystemExit(128 + signum)
+
+
 def extract(rev: str, into: Path) -> str:
     """Unpack the files of rev into the directory; return its commit."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
@@ -188,6 +196,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = directions(benchmark)
     runs: list[dict] = []
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     with tempfile.TemporaryDirectory() as tmp:
         sha = extract(args.rev, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}

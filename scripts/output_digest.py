@@ -34,6 +34,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -158,7 +159,8 @@ def main(argv=None) -> int:
         for name, digest in mine.items():
             print(f"{name:12} {digest}")
         return 0
-    from scripts.bench_pairs import extract
+    from scripts.bench_pairs import exit_on_sigterm, extract
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     with tempfile.TemporaryDirectory() as tmp:
         sha = extract(args.rev, Path(tmp))
         theirs = _child(Path(tmp) / "src", args.limit)

@@ -53,12 +53,14 @@ class Coloring:
         """Propriety straight off the adjacency, independent of the producer."""
         if len(self.color) != g.n:
             return False
-        if sorted(set(self.color)) != list(range(self.k)):
-            return False
+        # each vertex against its neighbours coloured before it: every edge
+        # is looked at once, from its later end
         cls = [0] * self.k
         for v, c in enumerate(self.color):
+            if not 0 <= c < self.k or g.adj[v] & cls[c]:
+                return False
             cls[c] |= 1 << v
-        return all(not g.adj[v] & cls[c] for v, c in enumerate(self.color))
+        return all(cls)
 
 
 @dataclass(frozen=True)

@@ -319,20 +319,26 @@ def has_k4_minor(g: Graph) -> bool:
     """
     mask = g.vertex_mask
     adj = list(g.adj)
-    todo = [v for v in range(g.n) if adj[v].bit_count() <= 2]
+    todo = mask_of(v for v, row in enumerate(adj) if row.bit_count() <= 2)
     while todo:
-        v = todo.pop()
-        if not mask >> v & 1:
-            continue
-        mask ^= 1 << v
-        ends = list(bits(adj[v]))
-        for u in ends:
-            adj[u] ^= 1 << v
-        if len(ends) == 2:
-            a, b = ends
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        todo.extend(u for u in ends if adj[u].bit_count() <= 2)
+        low = todo & -todo
+        todo ^= low
+        mask ^= low
+        # a and b: the removed vertex's neighbours as single bits, either or
+        # both 0 when it has fewer; each loses it and gains the other
+        a = adj[low.bit_length() - 1]
+        b = a & (a - 1)
+        a ^= b
+        if a:
+            u = a.bit_length() - 1
+            row = adj[u] = adj[u] ^ low | b
+            if row.bit_count() <= 2:
+                todo |= a
+        if b:
+            u = b.bit_length() - 1
+            row = adj[u] = adj[u] ^ low | a
+            if row.bit_count() <= 2:
+                todo |= b
     return mask != 0
 
 

@@ -14,10 +14,10 @@ counterwitness of that instance or None.  `check_lemma` runs every lemma
 through one loop, the only place that counts instances against the budget.
 
 The three lemmas share their hypotheses, so the per-graph facts they read
-(the ISK4 mask, K33/K222 and prism presence, the maximal K_{1,2,n} list) live
-on one `GraphFacts` per graph, each computed at most once.  A scan builds it
-from the ISK4 mask it already has and hands it to every check, so
-`contains_isk4` runs once per scanned graph.
+(the K4-minor verdict, the ISK4 mask, K33/K222 and prism presence, the
+maximal K_{1,2,n} list) live on one `GraphFacts` per graph, each computed at
+most once, and a scan hands it to every check.  On a K4-minor-free graph no
+hypothesis search runs, and L-LINK asks `is_linked` of no pair.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .graphs import (Graph, attachment, bits, components, is_clique,
-                     is_induced_cycle, is_induced_path, mask_of)
+from .graphs import (Graph, attachment, bits, components, has_k4_minor,
+                     is_clique, is_induced_cycle, is_induced_path, mask_of)
 from .patterns import (
     K12nEmbedding,
     PatternWitness,
@@ -208,20 +208,24 @@ def classify_component_attachment(g: Graph, h: K12nEmbedding,
 def iter_induced_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
     """Every induced cycle once, anchored at its least vertex, second vertex
     smaller than the last (fixes traversal direction)."""
+    adj = g.adj
 
-    def extend(path: list[int], pmask: int) -> Iterator[tuple[int, ...]]:
+    def extend(path: tuple[int, ...], free: int) -> Iterator[tuple[int, ...]]:
+        # free: the vertices above the anchor, off the path and seeing no
+        # path vertex but the anchor and the last, so a next vertex in it
+        # closes the cycle if it sees the anchor and extends the path if not
         s, last = path[0], path[-1]
-        for w in bits(g.adj[last]):
-            if w <= s or pmask >> w & 1:
-                continue
-            inter = g.adj[w] & pmask
-            if inter == 1 << last:
-                yield from extend(path + [w], pmask | 1 << w)
-            elif inter == (1 << last | 1 << s) and path[1] < w:
-                yield tuple(path) + (w,)
+        rest = free & ~adj[last]
+        for w in bits(adj[last] & free):
+            if not adj[w] >> s & 1:
+                yield from extend(path + (w,), rest)
+            elif path[1] < w:
+                yield path + (w,)
 
     for s in range(g.n):
-        yield from extend([s], 1 << s)
+        above = g.vertex_mask >> s + 1 << s + 1
+        for w in bits(adj[s] & above):
+            yield from extend((s, w), above & ~(1 << w))
 
 
 @dataclass
@@ -240,26 +244,39 @@ class LemmaReport:
 
 class GraphFacts:
     """One graph plus the facts the lemma checks share, each computed on
-    first use through this module's detectors and then kept."""
+    first use through this module's detectors and then kept.
 
-    def __init__(self, g: Graph, isk4: Optional[int]):
+    Every structure the hypotheses search for has a K4 minor: K33, K222 and
+    K_{1,2,n} with n >= 2 have minimum degree at least 3, an ISK4 and a
+    prism subdivide graphs that do, and a simple graph of minimum degree at
+    least 3 has a K4 minor (Dirac, 1952).  So on a K4-minor-free graph the verdict answers
+    each search as empty, and none runs."""
+
+    def __init__(self, g: Graph):
         self.g = g
-        self.isk4 = isk4  # contains_isk4(g), which every caller has at hand
+
+    @cached_property
+    def k4_minor(self) -> bool:
+        return has_k4_minor(self.g)
+
+    @cached_property
+    def isk4(self) -> Optional[int]:
+        return contains_isk4(self.g) if self.k4_minor else None
 
     @cached_property
     def k33_or_k222(self) -> bool:
-        return contains_fixed(self.g, "K33") is not None \
-            or contains_fixed(self.g, "K222") is not None
+        return self.k4_minor and (contains_fixed(self.g, "K33") is not None
+                                  or contains_fixed(self.g, "K222") is not None)
 
     @cached_property
     def prism(self) -> Optional[PatternWitness]:
-        return contains_fixed(self.g, "prism")
+        return contains_fixed(self.g, "prism") if self.k4_minor else None
 
     @cached_property
     def k12n(self) -> list[K12nEmbedding]:
         """Every maximal K_{1,2,n} with n >= 2; those with n >= 3 are, in the
         same order, what iter_maximal_k12n(g, 3) yields."""
-        return list(iter_maximal_k12n(self.g, 2))
+        return list(iter_maximal_k12n(self.g, 2)) if self.k4_minor else []
 
 
 def _link(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
@@ -269,8 +286,10 @@ def _link(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
     # a linkage's three paths leave v through distinct neighbours, so v has
     # degree >= 3, and end at distinct cycle vertices that v's component of
     # g - C sees, as every path's interior lies in it: a pair failing either
-    # test is not linked, and is_linked is not asked
-    branch = mask_of(v for v in range(g.n) if g.adj[v].bit_count() >= 3)
+    # test is not linked, and is_linked is not asked.  With the cycle the
+    # paths subdivide K4, so on a K4-minor-free graph no pair is asked
+    branch = mask_of(v for v in range(g.n) if g.adj[v].bit_count() >= 3) \
+        if f.k4_minor else 0
 
     def instances():
         for cycle in iter_induced_cycles(g):
@@ -278,7 +297,7 @@ def _link(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
             cmask = mask_of(cycle)
             rest = g.vertex_mask & ~cmask
             able = 0
-            for comp in components(g, rest):
+            for comp in components(g, rest) if branch else ():
                 if comp & branch and attachment(g, cmask, comp).bit_count() >= 3:
                     able |= comp & branch
             for v in bits(rest):
@@ -349,7 +368,7 @@ def check_lemma(g: Graph | GraphFacts, lemma_id: str,
     """
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
-    facts = g if isinstance(g, GraphFacts) else GraphFacts(g, contains_isk4(g))
+    facts = g if isinstance(g, GraphFacts) else GraphFacts(g)
     instances = _LEMMAS[lemma_id](facts)
     if instances is None:
         return LemmaReport(lemma_id, False)

@@ -20,7 +20,10 @@ from . import __version__
 from .coloring import ColoringFailure, chromatic_number_exact, structural_four_coloring
 from .graphs import Graph, GraphFormatError, code_to_graph6, is_connected, parse_graph6
 from .lemmas import LEMMA_IDS, GraphFacts, check_lemma
-from .patterns import contains_induced, contains_isk4
+from .patterns import (
+    contains_induced,
+    contains_isk4,  # noqa: F401  bench/trace.py rebinds it here
+)
 
 CHECKS = ("ISK4-FILTER", "CHI-LE-4", *LEMMA_IDS, "STRUCTURAL-COLOR")
 STATUSES = ("pass", "fail", "skip", "budget")
@@ -172,7 +175,7 @@ def _scan_one(cfg: ScanConfig, item: tuple[int, str]) -> dict:
         return {"line_no": line_no, "g6": text, "error": str(exc)}
     try:
         # one set of facts per graph, shared by every check, stays in the worker
-        facts = _ScanFacts(g, contains_isk4(g))
+        facts = _ScanFacts(g)
         return {
             "line_no": line_no, "g6": text, "n": g.n,
             "isk4_free": facts.isk4 is None,

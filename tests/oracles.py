@@ -5,7 +5,7 @@ package's bitmask machinery, so that agreement between the two code paths
 actually means something.
 """
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, dropwhile
 
 import networkx as nx
@@ -13,8 +13,9 @@ import networkx as nx
 from isk4lab.decompose import MultipartiteCert
 from isk4lab.graphs import (Graph, bits, components, is_clique, is_connected,
                             is_induced_path, mask_of)
-from isk4lab.lemmas import is_linked, iter_induced_cycles
-from isk4lab.patterns import SquareLinkStructure, _classify_link
+from isk4lab.lemmas import GraphFacts, is_linked
+from isk4lab.patterns import (SquareLinkStructure, _classify_link,
+                              contains_fixed, contains_isk4, iter_maximal_k12n)
 
 
 def to_nx(g):
@@ -97,6 +98,76 @@ def has_k4_minor(g):
     return False
 
 
+def k4_minor_by_queue(g):
+    """graphs.has_k4_minor's reduction with a list as its work queue and
+    each removed vertex's neighbours as a list: pop a vertex, skip it if
+    gone, else delete it, join its two neighbours if it had two, and queue
+    the neighbours left with degree <= 2."""
+    mask = g.vertex_mask
+    adj = list(g.adj)
+    todo = [v for v in range(g.n) if adj[v].bit_count() <= 2]
+    while todo:
+        v = todo.pop()
+        if not mask >> v & 1:
+            continue
+        mask ^= 1 << v
+        ends = list(bits(adj[v]))
+        for u in ends:
+            adj[u] ^= 1 << v
+        if len(ends) == 2:
+            a, b = ends
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        todo.extend(u for u in ends if adj[u].bit_count() <= 2)
+    return mask != 0
+
+
+def induced_cycles_by_list(g):
+    """lemmas.iter_induced_cycles with the path as a list: each neighbour
+    of the last vertex above the anchor and off the path extends the path
+    when it sees no other path vertex, and closes the cycle when it sees
+    the anchor too and lies above the second vertex."""
+
+    def extend(path, pmask):
+        s, last = path[0], path[-1]
+        for w in bits(g.adj[last]):
+            if w <= s or pmask >> w & 1:
+                continue
+            inter = g.adj[w] & pmask
+            if inter == 1 << last:
+                yield from extend(path + [w], pmask | 1 << w)
+            elif inter == (1 << last | 1 << s) and path[1] < w:
+                yield tuple(path) + (w,)
+
+    for s in range(g.n):
+        yield from extend([s], 1 << s)
+
+
+class UncutFacts(GraphFacts):
+    """lemmas.GraphFacts with no K4-minor verdict to cut the searches: every
+    hypothesis search runs on every graph, and L-LINK asks is_linked of
+    every pair its degree and attachment cuts pass."""
+
+    k4_minor = True
+
+    @cached_property
+    def isk4(self):
+        return contains_isk4(self.g)
+
+    @cached_property
+    def k33_or_k222(self):
+        return contains_fixed(self.g, "K33") is not None \
+            or contains_fixed(self.g, "K222") is not None
+
+    @cached_property
+    def prism(self):
+        return contains_fixed(self.g, "prism")
+
+    @cached_property
+    def k12n(self):
+        return list(iter_maximal_k12n(self.g, 2))
+
+
 def brute_linked(g, cycle, v):
     """Is v linked to the induced cycle?  Exactly when some set S of vertices
     off the cycle, v among them, makes g[cycle + S] smooth to K4 with v of
@@ -123,7 +194,7 @@ def link_unpruned(f):
     g = f.g
 
     def instances():
-        for cycle in iter_induced_cycles(g):
+        for cycle in induced_cycles_by_list(g):
             yield None
             for v in bits(g.vertex_mask & ~mask_of(cycle)):
                 w = is_linked(g, cycle, v)
@@ -328,6 +399,20 @@ def _assignments(n, k):
     for rest in _assignments(n - 1, k):
         for c in range(k):
             yield rest + (c,)
+
+
+def coloring_valid_two_pass(col, g):
+    """Coloring.validate as a palette test, then a propriety test: the
+    tuple has length n, its colours are exactly 0..k-1, and no vertex sees
+    its own colour class."""
+    if len(col.color) != g.n:
+        return False
+    if sorted(set(col.color)) != list(range(col.k)):
+        return False
+    cls = [0] * col.k
+    for v, c in enumerate(col.color):
+        cls[c] |= 1 << v
+    return all(not g.adj[v] & cls[c] for v, c in enumerate(col.color))
 
 
 def dsatur_reference(g, k):

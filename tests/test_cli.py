@@ -320,7 +320,7 @@ class TestScanCommand:
         def broken(g):
             raise RuntimeError("planted fault")
 
-        monkeypatch.setattr("isk4lab.scan.contains_isk4", broken)
+        monkeypatch.setattr("isk4lab.lemmas.has_k4_minor", broken)
         monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
         code, doc = run(capsys, "scan", "--checks", "ISK4-FILTER")
         assert code == 4

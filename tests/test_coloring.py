@@ -39,8 +39,8 @@ from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
                               off_components)
 from isk4lab.scan import enumerate_small
 
-from oracles import (brute_chromatic_number, dsatur_reference, has_isk4,
-                     root_edge_coloring)
+from oracles import (brute_chromatic_number, coloring_valid_two_pass,
+                     dsatur_reference, has_isk4, root_edge_coloring)
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import C6, K4, K33, K123, K222, PRISM6, all_graphs
 
@@ -152,6 +152,28 @@ class TestColoringValidate:
                         expect = sorted(set(color)) == list(range(k)) and all(
                             color[u] != color[v] for u, v in g.edges())
                         assert Coloring(color, k).validate(g) == expect
+
+    def test_one_pass_matches_two_passes(self):
+        # wrong lengths, negative, out-of-range and unused colours, improper
+        # and proper colourings, each with several palette sizes
+        rng = random.Random(27)
+        seen = set()
+        for n in range(6):
+            for g in all_graphs(n):
+                greedy = []
+                for v in range(n):
+                    taken = {greedy[u] for u in range(v) if g.has_edge(u, v)}
+                    greedy.append(min(set(range(n)) - taken))
+                tuples = [tuple(greedy)] + [
+                    tuple(rng.randrange(-1, 5) for _ in range(length))
+                    for length in (n, n, max(n - 1, 0), n + 1)]
+                for color in tuples:
+                    for k in {len(set(color)), 2, 4}:
+                        col = Coloring(color, k)
+                        want = coloring_valid_two_pass(col, g)
+                        assert col.validate(g) == want, (g.edges(), color, k)
+                        seen.add(want)
+        assert seen == {False, True}
 
 
 class TestChromaticNumberExact:

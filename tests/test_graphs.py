@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -467,6 +468,28 @@ class TestK4Minor:
                 assert not has_k4_minor(g), (n, g.edges())
                 if n <= 9:
                     assert not oracles.has_k4_minor(g)
+
+    def test_mask_queue_matches_the_list_queue(self):
+        # the same verdict as the reduction with a list queue, on every
+        # graph with n <= 6, the fixtures and seeded graphs with n = 8..13
+        fixtures = Path(__file__).parent / "fixtures"
+        lines = (fixtures / "scan_stream_100k.g6").read_text().splitlines()[:20000]
+        lines += [line for name in ("past_n7.g6", "four_cores.g6", "comp_n9.g6")
+                  for line in (fixtures / name).read_text().split()]
+        rng = random.Random(44)
+        seeded = [Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                       if rng.random() < p])
+                  for n in range(8, 14) for p in (0.15, 0.25, 0.35)
+                  for _ in range(60)]
+        seen = set()
+        for g in itertools.chain(
+                (Graph.from_code(n, c) for n in range(7)
+                 for c in range(1 << n * (n - 1) // 2)),
+                map(parse_graph6, lines), seeded):
+            want = oracles.k4_minor_by_queue(g)
+            assert has_k4_minor(g) == want, g.edges()
+            seen.add(want)
+        assert seen == {False, True}
 
     def test_planted_k4_subdivisions_are_not_free(self):
         rng = random.Random(43)

@@ -5,11 +5,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from bench import ladders
 from isk4lab import lemmas
 from isk4lab.coloring import replay_trace, structural_four_coloring
 from isk4lab.decompose import find_clique_cutset
-from isk4lab.graphs import (Graph, attachment, bits, components, is_clique,
-                            mask_of, parse_graph6)
+from isk4lab.graphs import (Graph, attachment, bits, components, has_k4_minor,
+                            is_clique, mask_of, parse_graph6)
 from isk4lab.lemmas import (
     LEMMA_IDS,
     GraphFacts,
@@ -20,9 +21,10 @@ from isk4lab.lemmas import (
     is_linked,
     iter_induced_cycles,
 )
-from isk4lab.patterns import (K12nEmbedding, contains_induced, contains_isk4,
-                              is_maximal_k12n, iter_maximal_k12n)
-from oracles import brute_linked, has_isk4, link_unpruned, to_nx
+from isk4lab.patterns import (K12nEmbedding, contains_fixed, contains_induced,
+                              contains_isk4, is_maximal_k12n, iter_maximal_k12n)
+from oracles import (UncutFacts, brute_linked, has_isk4, induced_cycles_by_list,
+                     link_unpruned, to_nx)
 from test_graphs import random_graph_strategy
 from test_patterns import K33, K123, all_graphs
 
@@ -47,7 +49,37 @@ def k124_plus(attach):
     return Graph.from_edges(8, base.edges() + [(u, 7) for u in attach])
 
 
+def fixture_graphs():
+    """The first 3,000 fixture lines, then the past_n7.g6, four_cores.g6
+    and comp_n9.g6 graphs."""
+    lines = FIXTURE.read_text().splitlines()[:3000]
+    lines += [line for path in (PAST_N7, FOUR_CORES, COMP_N9)
+              for line in path.read_text().split()]
+    return list(map(parse_graph6, lines))
+
+
+def ladder_graphs(sizes, per_size=4, seed=27):
+    """Seeded bench/ladders.py graphs: series-parallel graphs and partial
+    2-trees, free of K4 minors by construction, and planted K4
+    subdivisions, per_size of each for every n in sizes."""
+    rng = random.Random(seed)
+    return [Graph.from_edges(*make(rng, n)[:2]) for n in sizes
+            for make in (lambda r, n: ladders.series_parallel(r, n, 6),
+                         ladders.partial_2tree, ladders.planted_isk4)
+            for _ in range(per_size)]
+
+
 class TestInducedCycles:
+    def test_same_cycles_in_the_same_order_as_the_list_walk(self):
+        rng = random.Random(13)
+        seeded = [Graph.from_code(n, rng.getrandbits(n * (n - 1) // 2))
+                  for n in range(8, 14) for _ in range(30)]
+        graphs = [g for n in range(7) for g in all_graphs(n)]
+        graphs += fixture_graphs() + ladder_graphs(range(8, 14)) + seeded
+        for g in graphs:
+            assert list(iter_induced_cycles(g)) == \
+                list(induced_cycles_by_list(g)), g.edges()
+
     def test_c6_has_one(self):
         assert list(iter_induced_cycles(Graph.cycle(6))) == [(0, 1, 2, 3, 4, 5)]
 
@@ -316,8 +348,13 @@ def test_link_pruning_reports_as_the_unpruned_loop(monkeypatch):
     graphs += map(parse_graph6, lines)
     budgets = (None, 1, 7, 50)
 
+    def isk4_free(g):
+        facts = GraphFacts(g)
+        facts.isk4 = None
+        return facts
+
     def reports():
-        return [[check_lemma(GraphFacts(g, None), "L-LINK", b) for b in budgets]
+        return [[check_lemma(isk4_free(g), "L-LINK", b) for b in budgets]
                 for g in graphs]
 
     pruned = reports()
@@ -421,7 +458,7 @@ class TestGraphFacts:
     @staticmethod
     def assert_same_reports(graphs, budget):
         for g in graphs:
-            facts = GraphFacts(g, contains_isk4(g))
+            facts = GraphFacts(g)
             for lemma in sorted(LEMMA_IDS):  # a scan's order
                 assert check_lemma(facts, lemma, budget) == \
                     check_lemma(g, lemma, budget), (g.code(), lemma)
@@ -436,3 +473,39 @@ class TestGraphFacts:
     def test_first_fixture_lines(self):
         lines = FIXTURE.read_text().splitlines()[:2000]
         self.assert_same_reports(map(parse_graph6, lines), 20000)
+
+
+class TestK4MinorVerdict:
+    """No structure a lemma hypothesis searches for, and no linkage, exists
+    in a K4-minor-free graph; so facts cut by the K4-minor verdict report
+    as the uncut searches do."""
+
+    @staticmethod
+    def graphs():
+        yield from (g for n in range(7) for g in all_graphs(n))
+        yield from fixture_graphs()
+        yield from ladder_graphs(range(8, 16))
+
+    def test_k4_minor_free_graphs_have_no_hypothesis_structure(self):
+        free = 0
+        for g in self.graphs():
+            if has_k4_minor(g):
+                continue
+            free += 1
+            assert contains_isk4(g) is None, g.edges()
+            for which in ("K33", "K222", "prism"):
+                assert contains_fixed(g, which) is None, (which, g.edges())
+            assert contains_induced(g, K123) is None, g.edges()
+            assert next(iter_maximal_k12n(g, 2), None) is None, g.edges()
+            for _, cycle, v in link_pairs([g]):
+                assert is_linked(g, cycle, v) is None, (g.edges(), cycle, v)
+        assert free > 20000
+
+    def test_cut_facts_report_as_uncut_ones(self):
+        budgets = (None, 1, 7, 50)
+        for g in self.graphs():
+            cut, uncut = GraphFacts(g), UncutFacts(g)
+            for lemma in LEMMA_IDS:
+                for b in budgets:
+                    assert check_lemma(cut, lemma, b) == \
+                        check_lemma(uncut, lemma, b), (g.edges(), lemma, b)

@@ -1,6 +1,12 @@
 """scripts/output_digest.py on a few lines of each input."""
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import isk4lab.cli as cli
 from scripts.output_digest import FAMILIES, ROOT, _child, digests
@@ -26,3 +32,42 @@ def test_a_changed_colouring_changes_only_the_color_family(monkeypatch):
     monkeypatch.setattr(cli, "chromatic_number_exact", renamed)
     after = digests(LIMIT)
     assert {f for f in FAMILIES if after[f] != before[f]} == {"color"}
+
+
+def _holding(text: str) -> list[int]:
+    """The processes whose command line holds the text."""
+    pids = []
+    for proc in Path("/proc").iterdir():
+        try:
+            if proc.name.isdigit() \
+                    and text.encode() in (proc / "cmdline").read_bytes():
+                pids.append(int(proc.name))
+        except OSError:  # the process ended while being read
+            pass
+    return pids
+
+
+def test_sigterm_removes_the_extracted_tree_and_its_child(tmp_path):
+    """Stopped by SIGTERM while it digests the extracted revision,
+    output_digest.py --rev exits and leaves neither the git archive copy
+    nor the child digesting it behind."""
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"),
+         "--rev", "HEAD", "--limit", str(LIMIT)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not _holding(str(tmp_path)):  # the child that digests the copy
+            assert proc.poll() is None, "finished before its child started"
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+    deadline = time.monotonic() + 10
+    while _holding(str(tmp_path)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _holding(str(tmp_path)) == []
+    assert list(tmp_path.iterdir()) == []

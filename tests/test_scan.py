@@ -10,7 +10,7 @@ import pytest
 import isk4lab.lemmas as lemmas
 import isk4lab.scan as scan
 from isk4lab.coloring import Coloring, ColoringFailure
-from isk4lab.graphs import Graph, parse_graph6, write_graph6
+from isk4lab.graphs import Graph, has_k4_minor, parse_graph6, write_graph6
 from isk4lab.scan import CHECKS, ScanConfig, enumerate_small, scan_stream
 
 from oracles import has_isk4
@@ -168,7 +168,8 @@ class TestInternalErrors:
         def broken(g):
             raise KeyError(g.n)
 
-        monkeypatch.setattr(scan, "contains_isk4", broken)
+        # every parsed line asks for the K4-minor verdict
+        monkeypatch.setattr(lemmas, "has_k4_minor", broken)
         monkeypatch.setattr(scan, "WITNESS_CAP", 2)
         report = run(SMALL[:5])
         assert [w["evidence"]["type"] for w in report.failures] == ["KeyError"] * 2
@@ -213,8 +214,10 @@ class TestDeterminism:
 
 class TestFactsOncePerGraph:
     def test_each_fact_computed_once(self, monkeypatch):
-        """A scan with every check runs the ISK4 search once per graph and
-        each shared lemma hypothesis at most once."""
+        """A scan with every check runs the K4-minor test once per graph,
+        the ISK4 search once on a graph with a K4 minor and each shared
+        lemma hypothesis at most once; on a K4-minor-free graph no search
+        runs and L-LINK asks is_linked of no pair."""
         calls = Counter()
 
         def count(owner, attr, key):
@@ -225,21 +228,29 @@ class TestFactsOncePerGraph:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, attr, counted)
 
-        count(scan, "contains_isk4", lambda g: "isk4")
+        count(lemmas, "has_k4_minor", lambda g: "k4")
         count(lemmas, "contains_isk4", lambda g: "isk4")
         count(lemmas, "contains_fixed", lambda g, which: which)
         count(lemmas, "iter_maximal_k12n", lambda g, n_min: "k12n")
+        count(lemmas, "is_linked", lambda g, cycle, v: "linked")
         applicable = Counter()
         lines = (FIXTURES / "scan_stream_100k.g6").read_text().splitlines()
         for line in lines[:700]:
             calls.clear()
             counters = run([line], checks=CHECKS).totals()["checks"]
-            assert calls["isk4"] == 1, line
-            assert all(calls[k] <= 1 for k in ("K33", "K222", "prism", "k12n")), line
+            minor = has_k4_minor(parse_graph6(line))
+            assert calls["k4"] == 1 and calls["isk4"] == minor, line
+            searches = ("K33", "K222", "prism", "k12n")
+            assert all(calls[k] <= minor for k in searches), line
+            assert minor or calls["linked"] == 0, line
             applicable.update(c for c in ("L-VOH", "L-COMP")
                               if counters[c]["skip"] == 0)
-        # the window reaches both attachment lemmas past their hypotheses
+            applicable["free"] += not minor
+            applicable["linked"] += calls["linked"] > 0
+        # the window reaches both attachment lemmas past their hypotheses,
+        # and holds K4-minor-free graphs and pairs that is_linked is asked of
         assert applicable["L-VOH"] > 0 and applicable["L-COMP"] > 0
+        assert applicable["free"] > 0 and applicable["linked"] > 0
 
 
 COLOUR_BOTH = ("ISK4-FILTER", "CHI-LE-4", "STRUCTURAL-COLOR")
