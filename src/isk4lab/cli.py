@@ -110,30 +110,24 @@ def _emit(args, doc: dict):
 def _cmd_detect(args) -> int:
     g = _load_graph(args.input, args.format)
     name = args.pattern
-    doc: dict = {"found": False, "pattern": name}
     if name == "isk4":
         mask = contains_isk4(g)
-        if mask is not None:
-            doc = {"found": True, "pattern": name,
-                   "vertices": sorted(bits(mask))}
+        payload = None if mask is None else {"vertices": sorted(bits(mask))}
     elif name == "k12n":
         if args.n_min < 2:
             raise _CliError("--n-min must be at least 2")
         emb = find_maximal_k12n(g, args.n_min)
-        if emb is not None:
-            doc = {"found": True, "pattern": name, **dataclasses.asdict(emb),
-                   "n": emb.n}
+        payload = None if emb is None else {**dataclasses.asdict(emb), "n": emb.n}
     elif name == "rich-square":
         s = find_rich_square(g)
-        if s is not None:
-            doc = {"found": True, "pattern": name, **dataclasses.asdict(s)}
+        payload = None if s is None else dataclasses.asdict(s)
     else:
         w = contains_fixed(g, {"k33": "K33", "k222": "K222"}.get(name, name))
-        if w is not None:
-            doc = {"found": True, "pattern": name,
-                   "vertices": sorted(w.mapping), "mapping": list(w.mapping)}
-    _emit(args, doc)
-    return EXIT_OK if doc["found"] else EXIT_NOT_FOUND
+        payload = None if w is None else \
+            {"vertices": sorted(w.mapping), "mapping": list(w.mapping)}
+    _emit(args, {"found": payload is not None, "pattern": name,
+                 **(payload or {})})
+    return EXIT_NOT_FOUND if payload is None else EXIT_OK
 
 
 def _trace_doc(trace: ColoringTrace) -> list:

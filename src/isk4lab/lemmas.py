@@ -244,13 +244,7 @@ class LemmaReport:
 
 class GraphFacts:
     """One graph plus the facts the lemma checks share, each computed on
-    first use through this module's detectors and then kept.
-
-    Every structure the hypotheses search for has a K4 minor: K33, K222 and
-    K_{1,2,n} with n >= 2 have minimum degree at least 3, an ISK4 and a
-    prism subdivide graphs that do, and a simple graph of minimum degree at
-    least 3 has a K4 minor (Dirac, 1952).  So on a K4-minor-free graph the verdict answers
-    each search as empty, and none runs."""
+    first use through this module's detectors and then kept."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -261,22 +255,23 @@ class GraphFacts:
 
     @cached_property
     def isk4(self) -> Optional[int]:
+        # an ISK4 subdivides K4, so a K4-minor-free graph has none
         return contains_isk4(self.g) if self.k4_minor else None
 
     @cached_property
     def k33_or_k222(self) -> bool:
-        return self.k4_minor and (contains_fixed(self.g, "K33") is not None
-                                  or contains_fixed(self.g, "K222") is not None)
+        return contains_fixed(self.g, "K33") is not None \
+            or contains_fixed(self.g, "K222") is not None
 
     @cached_property
     def prism(self) -> Optional[PatternWitness]:
-        return contains_fixed(self.g, "prism") if self.k4_minor else None
+        return contains_fixed(self.g, "prism")
 
     @cached_property
     def k12n(self) -> list[K12nEmbedding]:
         """Every maximal K_{1,2,n} with n >= 2; those with n >= 3 are, in the
         same order, what iter_maximal_k12n(g, 3) yields."""
-        return list(iter_maximal_k12n(self.g, 2)) if self.k4_minor else []
+        return list(iter_maximal_k12n(self.g, 2))
 
 
 def _link(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
@@ -310,8 +305,10 @@ def _link(f: GraphFacts) -> Optional[Iterator[Optional[dict]]]:
 
 def _attachment_hosts(f: GraphFacts) -> list[K12nEmbedding]:
     """The maximal K_{1,2,n} (n >= 2) of an ISK4-, K33- and K222-free graph;
-    none when those shared hypotheses fail."""
-    if f.isk4 is not None or f.k33_or_k222:
+    none when those shared hypotheses fail, nor on a K4-minor-free graph, so
+    no host search runs there: K_{1,2,n} has minimum degree 3, and a simple
+    graph of minimum degree 3 has a K4 minor (Dirac, 1952)."""
+    if f.isk4 is not None or not f.k4_minor or f.k33_or_k222:
         return []
     return f.k12n
 

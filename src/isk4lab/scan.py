@@ -194,25 +194,23 @@ def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:
     report = ScanReport(cfg)
     kept: dict[str, int] = {}
 
-    def witness(check: str, entry: dict):
+    def witness(res: dict, check: str, evidence: dict):
         if kept.get(check, 0) < WITNESS_CAP:
             kept[check] = kept.get(check, 0) + 1
-            report.failures.append(entry)
+            report.failures.append({"line_no": res["line_no"],
+                                    "graph6": res["g6"], "check": check,
+                                    "evidence": evidence})
         else:
             report.suppressed[check] = report.suppressed.get(check, 0) + 1
 
     for res in results:
         if "error" in res:
             report.parse_failures += 1
-            witness("parse", {"line_no": res["line_no"], "graph6": res["g6"],
-                              "check": "parse",
-                              "evidence": {"reason": res["error"]}})
+            witness(res, "parse", {"reason": res["error"]})
             continue
         if "internal_error" in res:
             report.internal_errors += 1
-            witness("internal_error", {
-                "line_no": res["line_no"], "graph6": res["g6"],
-                "check": "internal_error", "evidence": res["internal_error"]})
+            witness(res, "internal_error", res["internal_error"])
             continue
         counters = report.per_n.get(res["n"])
         if counters is None:
@@ -223,9 +221,7 @@ def _fold(results: Iterable[dict], cfg: ScanConfig) -> ScanReport:
         for name, (status, evidence) in res["checks"].items():
             counters["checks"][name][status] += 1
             if status == "fail":
-                witness(name, {"line_no": res["line_no"],
-                               "graph6": res["g6"], "check": name,
-                               "evidence": evidence})
+                witness(res, name, evidence)
     return report
 
 

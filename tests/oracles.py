@@ -5,7 +5,7 @@ package's bitmask machinery, so that agreement between the two code paths
 actually means something.
 """
 
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, dropwhile
 
 import networkx as nx
@@ -14,8 +14,7 @@ from isk4lab.decompose import MultipartiteCert
 from isk4lab.graphs import (Graph, bits, components, is_clique, is_connected,
                             is_induced_path, mask_of)
 from isk4lab.lemmas import GraphFacts, is_linked
-from isk4lab.patterns import (SquareLinkStructure, _classify_link,
-                              contains_fixed, contains_isk4, iter_maximal_k12n)
+from isk4lab.patterns import SquareLinkStructure, _classify_link
 
 
 def to_nx(g):
@@ -144,28 +143,12 @@ def induced_cycles_by_list(g):
 
 
 class UncutFacts(GraphFacts):
-    """lemmas.GraphFacts with no K4-minor verdict to cut the searches: every
-    hypothesis search runs on every graph, and L-LINK asks is_linked of
-    every pair its degree and attachment cuts pass."""
+    """lemmas.GraphFacts with every graph taken to have a K4 minor: the ISK4
+    search runs on every graph, every hypothesis search runs whenever the
+    hypotheses before it hold, and L-LINK asks is_linked of every pair its
+    degree and attachment cuts pass."""
 
     k4_minor = True
-
-    @cached_property
-    def isk4(self):
-        return contains_isk4(self.g)
-
-    @cached_property
-    def k33_or_k222(self):
-        return contains_fixed(self.g, "K33") is not None \
-            or contains_fixed(self.g, "K222") is not None
-
-    @cached_property
-    def prism(self):
-        return contains_fixed(self.g, "prism")
-
-    @cached_property
-    def k12n(self):
-        return list(iter_maximal_k12n(self.g, 2))
 
 
 def brute_linked(g, cycle, v):

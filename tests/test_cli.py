@@ -433,6 +433,16 @@ class TestDeterminismAndEntryPoint:
         assert proc.returncode == cli.EXIT_ERROR
         assert proc.stderr.startswith("error:")
 
+    def test_version_is_read_from_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] \
+            == {"attr": "isk4lab.__version__"}
+
     def test_edgelist_format(self, capsys):
         code, doc = run(capsys, "detect", "--pattern", "isk4",
                         "--format", "edgelist",
