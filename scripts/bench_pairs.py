@@ -80,17 +80,17 @@ def summarize(runs: list[dict], better: dict[str, str],
 
 def verdict(entry: dict, direction: str, bound: float, wins: int,
             pairs: int) -> str:
-    """"gain" when the change wins at least 9 of 10 pairs and the medians
-    lie further apart, its way, than the parent's q3 - q1; "worse" when the
-    change's median is worse than the parent's by more than the bound, a
-    fraction of the parent's median; "unresolved" when the parent's q3 - q1
-    is wider than that bound and the change did not win every pair; else
-    "within bound"."""
+    """"gain" when of at least ten pairs the change wins at least 9 in 10
+    and the medians lie further apart, its way, than the parent's q3 - q1;
+    "worse" when the change's median is worse than the parent's by more
+    than the bound, a fraction of the parent's median; "unresolved" when
+    the parent's q3 - q1 is wider than that bound and the change did not
+    win every pair; else "within bound"."""
     parent, change = entry["parent"], entry["change"]
     sign = 1 if direction == "higher" else -1
     ahead = sign * (change["median"] - parent["median"])
     spread = parent["q3"] - parent["q1"]
-    if pairs and 10 * wins >= 9 * pairs and ahead > spread:
+    if pairs >= 10 and 10 * wins >= 9 * pairs and ahead > spread:
         return "gain"
     if -ahead > bound * abs(parent["median"]):
         return "worse"

@@ -243,12 +243,12 @@ def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
 
 
 class _Scope:
-    """One instance of the recursion on more than four vertices, the graph h
-    (None in a step that a memo hit re-emits); rules work in h's ids, vertex
-    i being g's back[i].  A clique-cutset piece keeps its parent's cutset
-    (in its own ids) as `after`, the floor of its own search."""
+    """One instance of the recursion on more than four vertices, the graph
+    h; rules work in h's ids, vertex i being g's back[i].  A clique-cutset
+    piece keeps its parent's cutset (in its own ids) as `after`, the floor
+    of its own search."""
 
-    def __init__(self, h: Optional[Graph], back: list[int],
+    def __init__(self, h: Graph, back: list[int],
                  after: Optional[list[int]] = None):
         self.h = h
         self.back = back
@@ -459,29 +459,24 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
     colouring in h's ids, renumbered by first occurrence.  At most four
     vertices take distinct colours.  Else pick gives the rule, and its step
     goes to steps in pre-order as (scope, rule, cert), the certificate in
-    the scope's ids: one step per call but a memo hit, a disconnected h too
-    (its rule is the empty clique cutset).  sub(m) returns h[m]'s colouring
-    keyed by h's ids: at most four vertices take distinct colours in vertex
-    order, without inducing h[m]; else h[m] is induced from h, so vertex
-    maps compose.
+    the scope's ids: one step per call, a disconnected h too (its rule is
+    the empty clique cutset).  sub(m) returns h[m]'s colouring keyed by h's
+    ids: at most four vertices take distinct colours in vertex order,
+    without inducing h[m]; else h[m] is induced from h, so vertex maps
+    compose.
 
     With pieces, each piece of a clique-cutset split (the only scopes with
     an `after`) with more than four vertices is looked up by its adjacency.
-    A hit re-emits the stored steps through back and returns the stored
-    colouring; a miss stores them, with vertices in h's ids, once the
-    subtree succeeds.  The key can ignore `after`: the clique-cutset floor
-    is exact, so the whole subtree depends on h alone."""
+    A hit returns the stored colouring and appends no step; a miss stores
+    the colouring once the subtree succeeds.  The key can ignore `after`:
+    the clique-cutset floor is exact, so the whole subtree depends on h
+    alone."""
     if h.n <= 4:
         return list(range(h.n))
-    s = _Scope(h, back, after)
     key = h.adj if pieces is not None and after is not None else None
-    hit = pieces.get(key) if key is not None else None
-    if hit is not None:
-        canon, done = hit
-        for local, rule, cert in done:
-            steps.append((_Scope(None, s.orig(local)), rule, cert))
-        return canon
-    start = len(steps)
+    if key is not None and key in pieces:
+        return pieces[key]
+    s = _Scope(h, back, after)
 
     def sub(m: int, after: Optional[Iterable[int]] = None) -> dict[int, int]:
         assert m != h.vertex_mask, "every rule must shrink its instance"
@@ -501,8 +496,7 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
     if key is not None:
         if len(pieces) >= PIECES_BOUND:
             pieces.clear()
-        pieces[key] = (canon, [(s.local(t.back), rule, cert)
-                               for t, rule, cert in steps[start:]])
+        pieces[key] = canon
     return canon
 
 
@@ -515,7 +509,7 @@ def _trace(steps: list) -> ColoringTrace:
 
 def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
                              ) -> Union[tuple[Coloring, ColoringTrace],
-                                        ColoringFailure]:
+                                        Coloring, ColoringFailure]:
     """Colour g with at most four colours by structural recursion.
 
     Returns (Coloring, ColoringTrace), the trace empty when g.n <= 4, or a
@@ -526,7 +520,8 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
     pieces is an optional dict that a caller shares across graphs: each
     clique-cutset piece with more than four vertices is then coloured once
     while the dict holds it (see _solve), and emptied at PIECES_BOUND
-    entries.  The colouring and trace are the same with or without it.
+    entries.  A call with it returns the Coloring alone, with no trace, or
+    the same ColoringFailure; the colouring is the same with or without it.
     """
     steps: list = []
     try:
@@ -535,7 +530,7 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
         return _refusal(g, exc.args[0])
     out = _coloring(col)
     assert out.k <= 4 and out.validate(g)
-    return out, _trace(steps)
+    return out if pieces is not None else (out, _trace(steps))
 
 
 def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:

@@ -131,8 +131,7 @@ class _ScanFacts(GraphFacts):
             return "fail", {
                 "kind": out.kind, "rule": out.rule, "evidence": out.evidence,
                 "conjecture_counterexample": out.conjecture_counterexample}
-        col, _ = out
-        if col.k > 4 or not col.validate(self.g):
+        if out.k > 4 or not out.validate(self.g):
             return "fail", {"reason": "returned colouring failed validation"}
         return "pass", None
 

@@ -884,14 +884,17 @@ def test_exact_search_starts_at_the_first_level(monkeypatch):
 
 
 def memo_parity(lines, pieces):
-    """structural_four_coloring with the shared dict gives what it gives
-    without, and every trace it builds replays."""
+    """structural_four_coloring with the shared dict gives the colouring
+    alone, or the failure, that it gives without; every trace the call
+    without builds replays."""
     for line in lines:
         g = parse_graph6(line)
         out = structural_four_coloring(g, pieces=pieces)
-        assert out == structural_four_coloring(g), line
-        if isinstance(out, tuple):
-            assert replay_trace(g, out[1]) == out[0], line
+        traced = structural_four_coloring(g)
+        if isinstance(traced, tuple):
+            assert replay_trace(g, traced[1]) == traced[0], line
+            traced = traced[0]
+        assert out == traced, line
 
 
 class TestPieceMemo:
@@ -931,3 +934,32 @@ class TestPieceMemo:
         # scope is a top (HOST124 is peeled whole), a peel remainder (the
         # octahedron), or has at most 4 vertices
         assert sorted(len(key) for key in pieces) == [5]
+
+    def test_stores_colourings_only(self):
+        pieces = {}
+        for line in self.fixture[:500] + list(PAST_N7):
+            structural_four_coloring(parse_graph6(line), pieces=pieces)
+        assert pieces
+        for key, col in pieces.items():
+            # a piece's key is its adjacency, its value a colouring of it
+            assert type(col) is list and len(col) == len(key)
+            assert Coloring(tuple(col), max(col) + 1).validate(
+                Graph(len(key), key))
+
+    def test_a_repeated_piece_is_not_searched_again(self, monkeypatch):
+        searched = []
+
+        def counted(h, after=None):
+            searched.append(h.adj)
+            return find_clique_cutset(h, after=after)
+
+        monkeypatch.setattr(coloring, "find_clique_cutset", counted)
+        # splits at {0} into its C5 and an edge; only the C5 is stored
+        g = Graph.from_edges(6, C5.edges() + [(0, 5)])
+        pieces = {}
+        first = structural_four_coloring(g, pieces=pieces)
+        (piece,) = pieces
+        assert piece in searched
+        searched.clear()
+        assert structural_four_coloring(g, pieces=pieces) == first
+        assert searched == [g.adj]  # the top scope alone
