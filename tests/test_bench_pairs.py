@@ -88,9 +88,6 @@ PARENT = [100.0 + i for i in range(10)]  # q1 102.25, q3 106.75
     (list(zip(PARENT, [120.0] * 8 + [90.0] * 2)), "within bound"),
     # 9/10 with one tie: ties count for neither side
     (list(zip(PARENT, [120.0] * 9 + [109.0])), "gain"),
-    # 3/3 and 1/1 far apart are too few pairs for a gain
-    (list(zip(PARENT[:3], [120.0] * 3)), "within bound"),
-    ([(100.0, 120.0)], "within bound"),
     ([(100.0, 70.0)] * 4, "worse"),
     ([(100.0, 76.0)] * 4, "within bound"),
     # the parent's q3 - q1 is 75 at a median of 125, wider than 0.25 of it;
@@ -102,6 +99,15 @@ PARENT = [100.0 + i for i in range(10)]  # q1 102.25, q3 106.75
 ])
 def test_verdicts(values, expected):
     assert gps_verdict(values) == expected
+
+
+@pytest.mark.parametrize("values", [
+    list(zip(PARENT[:3], [120.0] * 3)),
+    [(100.0, 120.0)],
+])
+def test_too_few_pairs_are_no_gain(values):
+    # 3/3 and 1/1 far apart are too few pairs for a gain
+    assert gps_verdict(values) == "within bound"
 
 
 def test_verdict_follows_the_direction():
