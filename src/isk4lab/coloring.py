@@ -422,52 +422,25 @@ def _refusal(g: Graph, s: _Scope) -> ColoringFailure:
                            free)
 
 
-def _recorded(steps) -> Callable:
-    """Replay: each call takes the next recorded step, decodes its witness
-    and re-validates it against the scope."""
-    feed = iter(steps)
-
-    def pick(s: _Scope) -> tuple[_Rule, object]:
-        st = next(feed, None)
-        if st is None:
-            raise ValueError("trace ended before the recursion did")
-        if st.scope != s.mask:
-            raise ValueError("trace scope does not match the recursion")
-        rule = next((r for r in _TABLE if r.name == st.rule), None)
-        if rule is None:
-            raise ValueError(f"unknown trace rule {st.rule!r}")
-        try:
-            cert = rule.decode(s, st.detail)
-            ok = rule.check(s, cert)
-        except (LookupError, TypeError) as exc:
-            raise ValueError(f"malformed {st.rule} witness: {exc!r}") from exc
-        if not ok:
-            raise ValueError(f"recorded {st.rule} witness no longer applies")
-        return rule, cert
-
-    return pick
-
-
 # A shared piece memo is emptied when it holds this many entries.
 PIECES_BOUND = 4096
 
 
-def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
+def _solve(h: Graph, back: list[int], pick: Callable,
            after: Optional[list[int]] = None,
            pieces: Optional[dict] = None) -> list[int]:
     """Colour h, whose vertex i is g's vertex back[i], and return the
     colouring in h's ids, renumbered by first occurrence.  At most four
-    vertices take distinct colours.  Else pick gives the rule, and its step
-    goes to steps in pre-order as (scope, rule, cert), the certificate in
-    the scope's ids: one step per call, a disconnected h too (its rule is
-    the empty clique cutset).  sub(m) returns h[m]'s colouring keyed by h's
-    ids: at most four vertices take distinct colours in vertex order,
-    without inducing h[m]; else h[m] is induced from h, so vertex maps
-    compose.
+    vertices take distinct colours.  Else pick(s) gives the rule and its
+    certificate in the scope's ids, once per call and in pre-order, a
+    disconnected h too (its rule is the empty clique cutset).  sub(m)
+    returns h[m]'s colouring keyed by h's ids: at most four vertices take
+    distinct colours in vertex order, without inducing h[m]; else h[m] is
+    induced from h, so vertex maps compose.
 
     With pieces, each piece of a clique-cutset split (the only scopes with
     an `after`) with more than four vertices is looked up by its adjacency.
-    A hit returns the stored colouring and appends no step; a miss stores
+    A hit returns the stored colouring and calls no pick; a miss stores
     the colouring once the subtree succeeds.  The key can ignore `after`:
     the clique-cutset floor is exact, so the whole subtree depends on h
     alone."""
@@ -486,10 +459,9 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
         if after is not None:
             after = [vmap.index(v) for v in after]
         return dict(zip(vmap, _solve(piece, [back[v] for v in vmap], pick,
-                                     steps, after, pieces)))
+                                     after, pieces)))
 
     rule, cert = pick(s)
-    steps.append((s, rule, cert))
     col = rule.apply(s, cert, sub)
     canon = _canon_list(col[v] for v in range(h.n))
     assert max(canon) < 4
@@ -500,22 +472,16 @@ def _solve(h: Graph, back: list[int], pick: Callable, steps: list,
     return canon
 
 
-def _trace(steps: list) -> ColoringTrace:
-    """Encode the steps _solve appended, each in its own scope's ids."""
-    return ColoringTrace(tuple(
-        TraceStep(rule.name, t.mask, rule.encode(t, cert))
-        for t, rule, cert in steps))
-
-
 def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
                              ) -> Union[tuple[Coloring, ColoringTrace],
                                         Coloring, ColoringFailure]:
     """Colour g with at most four colours by structural recursion.
 
-    Returns (Coloring, ColoringTrace), the trace empty when g.n <= 4, or a
-    ColoringFailure naming the broken expectation.  The intended domain,
-    graphs with no induced K4 subdivision, is assumed, not tested: a caller
-    that wants the (expensive) test runs contains_isk4 first.
+    Returns (Coloring, ColoringTrace), each step encoded as its rule is
+    picked and the trace empty when g.n <= 4, or a ColoringFailure naming
+    the broken expectation.  The intended domain, graphs with no induced K4
+    subdivision, is assumed, not tested: a caller that wants the
+    (expensive) test runs contains_isk4 first.
 
     pieces is an optional dict that a caller shares across graphs: each
     clique-cutset piece with more than four vertices is then coloured once
@@ -523,29 +489,56 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
     entries.  A call with it returns the Coloring alone, with no trace, or
     the same ColoringFailure; the colouring is the same with or without it.
     """
-    steps: list = []
+    steps: list[TraceStep] = []
+
+    def traced(s: _Scope) -> tuple[_Rule, object]:
+        rule, cert = _first_rule(s)
+        steps.append(TraceStep(rule.name, s.mask, rule.encode(s, cert)))
+        return rule, cert
+
+    pick = _first_rule if pieces is not None else traced
     try:
-        col = _solve(g, list(range(g.n)), _first_rule, steps, pieces=pieces)
+        col = _solve(g, list(range(g.n)), pick, pieces=pieces)
     except _Fail as exc:
         return _refusal(g, exc.args[0])
     out = _coloring(col)
     assert out.k <= 4 and out.validate(g)
-    return out if pieces is not None else (out, _trace(steps))
+    return out if pieces is not None else (out, ColoringTrace(tuple(steps)))
 
 
 def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     """Re-run the recorded rules, taking each certificate from the trace
     instead of searching for it: replay never searches.
 
-    On the graph that produced the trace this reproduces the identical
-    colouring; a trace that does not fit raises ValueError.
+    Each step is checked as the recursion reads it, and none may be left
+    over.  On the graph that produced the trace this reproduces the
+    identical colouring; a trace that does not fit raises ValueError.
     """
-    steps: list = []
-    col = _solve(g, list(range(g.n)), _recorded(trace.steps), steps)
-    # the re-encoded steps must give back the trace: this catches unused
-    # steps and an encode/decode pair that drifts
-    if _trace(steps).steps != tuple(trace.steps):
-        raise ValueError("trace differs from its replay")
+    feed = iter(trace.steps)
+
+    def pick(s: _Scope) -> tuple[_Rule, object]:
+        st = next(feed, None)
+        if st is None:
+            raise ValueError("trace ended before the recursion did")
+        if st.scope != s.mask:
+            raise ValueError("trace scope does not match the recursion")
+        rule = next((r for r in _TABLE if r.name == st.rule), None)
+        if rule is None:
+            raise ValueError(f"unknown trace rule {st.rule!r}")
+        try:
+            cert = rule.decode(s, st.detail)
+            ok = rule.check(s, cert)
+        except (LookupError, TypeError) as exc:
+            raise ValueError(f"malformed {st.rule} witness: {exc!r}") from exc
+        if not ok:
+            raise ValueError(f"recorded {st.rule} witness no longer applies")
+        if rule.encode(s, cert) != st.detail:
+            raise ValueError(f"{st.rule} detail does not re-encode to itself")
+        return rule, cert
+
+    col = _solve(g, list(range(g.n)), pick)
+    if next(feed, None) is not None:
+        raise ValueError("trace has steps the recursion did not read")
     out = _coloring(col)
     if not out.validate(g):
         raise ValueError("replayed colouring is not proper")

@@ -18,6 +18,8 @@ import pytest
 
 import isk4lab
 import isk4lab.cli as cli
+import isk4lab.coloring as coloring
+import isk4lab.scan as scan
 from isk4lab.cli import main
 from isk4lab.graphs import Graph, write_graph6
 from isk4lab.lemmas import LemmaReport
@@ -34,6 +36,15 @@ K124_PENDANT = write_graph6(Graph.from_edges(
 WHEEL5 = write_graph6(Graph.from_edges(
     6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
         (5, 0), (5, 1), (5, 2), (5, 3), (5, 4)]))
+C5 = write_graph6(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+
+
+def _src_env() -> dict:
+    """The environment with the isk4lab this suite imports first on
+    PYTHONPATH, so a subprocess runs it and not an older install."""
+    src = str(Path(isk4lab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _entry_point_command():
@@ -204,6 +215,21 @@ class TestColor:
         assert doc["failure"] == "hypothesis_violation" and doc["rule"] == 8
         assert doc["conjecture_counterexample"] is False
 
+    def test_structural_counterexample_candidate(self, capsys, monkeypatch):
+        # planted: no rule takes C5 and the exact search finds no
+        # 4-colouring, so the refusal names a counterexample candidate
+        monkeypatch.setattr(coloring, "_TABLE", ())
+        monkeypatch.setattr(coloring, "chromatic_number_exact",
+                            lambda h, upper_bound=None: None)
+        code, doc = run(capsys, "color", C5)
+        assert code == cli.EXIT_BOUND
+        assert doc == {
+            "mode": "structural", "failure": "chromatic_bound_exceeded",
+            "rule": 8, "conjecture_counterexample": True,
+            "evidence": {"bound": 4, "vertices": [0, 1, 2, 3, 4],
+                         "note": "needs five colours yet has no induced K4 "
+                                 "subdivision: counterexample candidate"}}
+
     def test_structural_domain_violation(self, capsys):
         # K_{4,4} plus an edge: minimum degree 4, a K33, not multipartite
         host = write_graph6(Graph.from_edges(
@@ -316,6 +342,18 @@ class TestScanCommand:
             assert doc["totals"]["read"] == 2
             assert doc["failures"][0]["line_no"] == 2
 
+    def test_chi_le_4_failure_exit_code(self, capsys, monkeypatch):
+        # planted: the exact search finds no 4-colouring of C5
+        monkeypatch.setattr(scan, "chromatic_number_exact",
+                            lambda g, bound: None)
+        monkeypatch.setattr("sys.stdin", io.StringIO(C5 + "\n"))
+        code, doc = run(capsys, "scan", "--checks", "chi-le-4")
+        assert code == cli.EXIT_WITNESS
+        assert doc["failures"] == [{
+            "line_no": 1, "graph6": C5, "check": "CHI-LE-4",
+            "evidence": {"reason": "chromatic number exceeds four",
+                         "bound": 4}}]
+
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def broken(g):
             raise RuntimeError("planted fault")
@@ -395,6 +433,17 @@ class TestEnumerateCommand:
     def test_out_of_range(self, capsys):
         assert main(["enumerate", "--n", "0"]) == 2
 
+    def test_closed_pipe_exits_quietly(self):
+        # the reader stops after one line, as `| head -1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isk4lab.cli", "enumerate", "--n", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first == b"E???\n"
+        assert proc.returncode == cli.EXIT_ERROR and err == b""
+
 
 class TestQuiet:
     def test_quiet_suppresses_stdout_keeps_exit(self, capsys):
@@ -416,10 +465,7 @@ class TestDeterminismAndEntryPoint:
 
     def test_installed_script(self):
         script = _entry_point_command()
-        # Run the isk4lab this suite imports, not an older install.
-        src = str(Path(isk4lab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _src_env()
 
         def run_script(*argv):
             return subprocess.run(script + list(argv), capture_output=True,

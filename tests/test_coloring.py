@@ -596,6 +596,19 @@ class TestPipelineExamples:
             "chromatic_bound_exceeded", 8, 511,
             {"bound": 4, "vertices": list(range(9))}, False)
 
+    def test_refusal_names_a_counterexample_candidate(self, monkeypatch):
+        # planted: no rule takes C5 and the exact search finds no
+        # 4-colouring; C5 has no induced K4 subdivision, so the refusal
+        # names a counterexample candidate
+        monkeypatch.setattr(coloring, "_TABLE", ())
+        monkeypatch.setattr(coloring, "chromatic_number_exact",
+                            lambda h, upper_bound=None: None)
+        assert structural_four_coloring(C5) == ColoringFailure(
+            "chromatic_bound_exceeded", 8, 31,
+            {"bound": 4, "vertices": [0, 1, 2, 3, 4],
+             "note": "needs five colours yet has no induced K4 subdivision: "
+                     "counterexample candidate"}, True)
+
     def test_rule5_violation_is_honest(self):
         # minimum degree 4, no cutset, K33 present, not multipartite; such a
         # graph must contain an induced K4 subdivision, so the failure
@@ -704,11 +717,33 @@ class TestTraceReplay:
         for g, (c, t) in traces:
             assert replay_trace(g, t) == c
 
-    @pytest.mark.parametrize("detail", [{"parts": 5}, {"parts": [[[0]]]}, None])
-    def test_replay_malformed_detail_is_value_error(self, detail):
+    @pytest.mark.parametrize("g,step", [
+        pytest.param(K123, TraceStep("Multipartite", 0x3F, {"parts": 5}),
+                     id="detail0"),
+        pytest.param(K123, TraceStep("Multipartite", 0x3F, {"parts": [[[0]]]}),
+                     id="detail1"),
+        pytest.param(K123, TraceStep("Multipartite", 0x3F, None), id="None"),
+        # each decodes to a valid certificate that encodes to another detail
+        pytest.param(K123, TraceStep("Multipartite", 0x3F,
+                                     {"parts": [[0], [2, 1], [3, 4, 5]]}),
+                     id="parts-unsorted"),
+        pytest.param(TWO_K4, TraceStep("CliqueCutsetSplit", 31,
+                                       {"cutset": [3, 1, 2]}),
+                     id="cutset-unsorted"),
+    ])
+    def test_replay_malformed_detail_is_value_error(self, g, step):
         with pytest.raises(ValueError):
-            replay_trace(K123, ColoringTrace(
-                (TraceStep("Multipartite", 0x3F, detail),)))
+            replay_trace(g, ColoringTrace((step,)))
+
+    def test_replay_refuses_an_improper_colouring(self, monkeypatch):
+        # a planted Multipartite apply that gives every vertex one colour
+        _, t = pipeline_ok(K222)
+        assert t.rules() == ["Multipartite"]
+        monkeypatch.setattr(coloring, "_TABLE", tuple(
+            r._replace(apply=lambda s, mp, sub: [0] * s.h.n)
+            if r.name == "Multipartite" else r for r in coloring._TABLE))
+        with pytest.raises(ValueError, match="replayed colouring is not proper"):
+            replay_trace(K222, t)
 
 
 def perturb(value, rng):

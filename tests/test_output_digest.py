@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -47,25 +48,33 @@ def _holding(text: str) -> list[int]:
     return pids
 
 
+def _tail(f, size: int = 2000) -> str:
+    """The last size bytes written to the file f, as text."""
+    f.seek(0)
+    return f.read()[-size:].decode(errors="replace")
+
+
 def test_sigterm_removes_the_extracted_tree_and_its_child(tmp_path):
     """Stopped by SIGTERM while it digests the extracted revision,
     output_digest.py --rev exits and leaves neither the git archive copy
     nor the child digesting it behind."""
     env = {**os.environ, "TMPDIR": str(tmp_path)}
-    proc = subprocess.Popen(
-        [sys.executable, str(ROOT / "scripts" / "output_digest.py"),
-         "--rev", "HEAD", "--limit", str(LIMIT)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    try:
-        deadline = time.monotonic() + 120
-        while not _holding(str(tmp_path)):  # the child that digests the copy
-            assert proc.poll() is None, "finished before its child started"
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
-    finally:
-        proc.kill()
+    with tempfile.TemporaryFile() as err:  # tmp_path must end empty
+        proc = subprocess.Popen(
+            [sys.executable, str(ROOT / "scripts" / "output_digest.py"),
+             "--rev", "HEAD", "--limit", str(LIMIT)],
+            env=env, stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            deadline = time.monotonic() + 120
+            while not _holding(str(tmp_path)):  # the child digesting the copy
+                assert proc.poll() is None, \
+                    "finished before its child started:\n" + _tail(err)
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
     deadline = time.monotonic() + 10
     while _holding(str(tmp_path)) and time.monotonic() < deadline:
         time.sleep(0.05)

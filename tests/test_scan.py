@@ -370,6 +370,19 @@ class TestColourOnce:
         assert tot["checks"]["CHI-LE-4"]["pass"] == tot["isk4_free"]
         assert report.consistent()
 
+    def test_exact_refusal_is_the_chi_le_4_witness(self, monkeypatch):
+        # planted: the exact search finds no 4-colouring of any graph
+        monkeypatch.setattr(scan, "chromatic_number_exact",
+                            lambda g, bound: None)
+        report = run(SMALL)
+        free = report.totals()["isk4_free"]
+        assert report.totals()["checks"]["CHI-LE-4"]["fail"] == free > 0
+        assert report.failures[0] == {
+            "line_no": 1, "graph6": SMALL[0], "check": "CHI-LE-4",
+            "evidence": {"reason": "chromatic number exceeds four",
+                         "bound": 4}}
+        assert report.consistent()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_colouring_is_one_internal_error(self, monkeypatch, jobs):
         target = self.target
