@@ -1,4 +1,4 @@
-"""Exact chromatic search, leaf-class colourers, and the structural
+"""Exact chromatic search, the leaf colourings, and the structural
 4-colouring recursion.
 
 `structural_four_coloring` gives at most four vertices distinct colours,
@@ -11,10 +11,14 @@ the applied rules, or a structured failure naming the broken expectation.
 Each trace rule is one entry of the rule table `_TABLE`, whose find only
 recognises: it gives a certificate or None.  Search and `replay_trace` run
 the same recursion over it and differ only in where a level's certificate
-comes from, so the two cannot drift apart, and replay never searches.  A
-scope that no rule takes is refused by `_refusal`, the one place that
-builds a `ColoringFailure`: at rule 5 or 6 when the structure that forces
-a base class is there, else at rule 8.
+comes from, so the two cannot drift apart, and replay never searches for
+a certificate.  A scope that no rule takes is refused by `_refusal`, the
+one place that builds a `ColoringFailure`: at rule 5 or 6 when the
+structure that forces a base class is there, else at rule 8.
+
+The leaves are the base classes: a complete multipartite graph takes its
+parts as colour classes, and a subcubic line graph takes the exact search's
+first 4-colouring, which Vizing's theorem guarantees.
 """
 
 from __future__ import annotations
@@ -82,7 +86,14 @@ class ColoringTrace:
 
 @dataclass(frozen=True)
 class ColoringFailure:
-    """Structured refusal: which expectation broke, where, and the witnesses."""
+    """Structured refusal: which expectation broke, where, and the witnesses.
+
+    rule numbers the broken expectation in the proof's order; it is not an
+    index into RULES.  5: a K_{3,3} with no clique cutset, yet the scope is
+    not complete multipartite on at most four parts (`Multipartite`).  6: a
+    prism or rich square with no clique cutset, yet the scope is not the
+    line graph of a max-degree-3 graph (`SubcubicLineGraph`).  8: a 4-core
+    in neither base class."""
 
     kind: str  # "hypothesis_violation" or "chromatic_bound_exceeded"
     rule: int
@@ -210,33 +221,13 @@ def color_complete_multipartite(cert: MultipartiteCert) -> Coloring:
     return Coloring(tuple(col[v] for v in range(len(col))), len(cert.parts))
 
 
-def color_subcubic_line_graph(g: Graph, cert: SubcubicRootCert) -> Coloring:
-    """4-edge-colour the subcubic root, searching on g itself: two root
-    edges meet iff their g-vertices are adjacent.  The vertices go in the
-    order of their root edges, each taking the least colour below
-    min(4, used + 1) that no coloured neighbour has."""
-    order = sorted(range(g.n), key=cert.edge_of.__getitem__)
-    col = [-1] * g.n
-
-    def go(i: int, used: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        banned = {col[u] for u in bits(g.adj[v])}
-        for c in range(min(4, used + 1)):
-            if c in banned:
-                continue
-            col[v] = c
-            if go(i + 1, used + (c == used)):
-                return True
-            col[v] = -1
-        return False
-
-    # max degree 3 guarantees a 4-edge-colouring exists
-    assert go(0, 0), "subcubic root failed to 4-edge-colour"
-    out = _coloring(_canon_list(col))
-    assert out.validate(g)
-    return out
+def _four_colour_line_graph(h: Graph) -> list[int]:
+    """The exact search's first 4-colouring of h, a line graph of a graph of
+    maximum degree 3."""
+    col = _backtrack(h, 4)
+    # Vizing's theorem 4-edge-colours the root, so h has a 4-colouring
+    assert col is not None, "subcubic root failed to 4-edge-colour"
+    return col
 
 
 # -- structural recursion --------------------------------------------------
@@ -365,7 +356,7 @@ _TABLE = (
           encode=lambda s, lg: {"edge_of": [list(e) for e in lg.edge_of]},
           decode=lambda s, d: SubcubicRootCert(
               tuple(tuple(e) for e in d["edge_of"])),
-          apply=lambda s, lg, sub: color_subcubic_line_graph(s.h, lg).color),
+          apply=lambda s, lg, sub: _four_colour_line_graph(s.h)),
 )
 RULES = tuple(rule.name for rule in _TABLE)
 
@@ -508,7 +499,7 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
 
 def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
     """Re-run the recorded rules, taking each certificate from the trace
-    instead of searching for it: replay never searches.
+    instead of searching for it: replay never searches for a certificate.
 
     Each step is checked as the recursion reads it, and none may be left
     over.  On the graph that produced the trace this reproduces the

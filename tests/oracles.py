@@ -435,39 +435,7 @@ def dsatur_reference(g, k):
     return col if go(0, 0) else None
 
 
-# -- the pairwise and root-edge forms of rewritten kernels -----------------
-
-
-def root_edge_coloring(g, cert):
-    """color_subcubic_line_graph's search run on the root: colour its edges
-    in sorted order, each the least colour below min(4, used + 1) that no
-    edge sharing an end has, and pull the colours back through
-    cert.edge_of, renumbered by first occurrence."""
-    redges = cert.root.edges()
-    incident = [[] for _ in range(cert.root.n)]
-    for i, (u, v) in enumerate(redges):
-        incident[u].append(i)
-        incident[v].append(i)
-    ecol = [-1] * len(redges)
-
-    def go(i, used):
-        if i == len(redges):
-            return True
-        u, v = redges[i]
-        banned = {ecol[j] for j in incident[u] + incident[v] if ecol[j] >= 0}
-        for c in range(min(4, used + 1)):
-            if c in banned:
-                continue
-            ecol[i] = c
-            if go(i + 1, used + (c == used)):
-                return True
-            ecol[i] = -1
-        return False
-
-    assert go(0, 0)
-    at = dict(zip(redges, ecol))
-    ren = {}
-    return [ren.setdefault(at[e], len(ren)) for e in cert.edge_of]
+# -- the pairwise forms of rewritten kernels -------------------------------
 
 
 def is_induced_cycle_two_paths(g, vertices):

@@ -14,10 +14,11 @@ isomorphism class; the structural coloring itself runs per labeled graph.
 from pathlib import Path
 
 from isk4lab.coloring import (
+    Coloring,
     ColoringFailure,
+    _backtrack,
     chromatic_number_exact,
     color_complete_multipartite,
-    color_subcubic_line_graph,
     replay_trace,
     structural_four_coloring,
 )
@@ -224,11 +225,12 @@ def test_leaf_colorer_bounds():
     seen = {"line-graph": 0, "multipartite": 0}
     for n in range(1, 8):
         for code, g in rep_graphs(n).items():
-            cert = recognize_line_graph_subcubic(g)
-            if cert is not None:
+            if recognize_line_graph_subcubic(g) is not None:
+                # the SubcubicLineGraph leaf's search
                 seen["line-graph"] += 1
-                col = color_subcubic_line_graph(g, cert)
-                if col.k > 4 or not col.validate(g):
+                raw = _backtrack(g, 4)
+                if raw is None or not Coloring(tuple(raw),
+                                               max(raw) + 1).validate(g):
                     violations.append(("line-graph", n, code))
             mp = recognize_complete_multipartite(g)
             if mp is not None:

@@ -1,4 +1,4 @@
-"""Colouring tests: the exact oracle, the two leaf colourers, and the
+"""Colouring tests: the exact oracle, the two leaf colourings, and the
 structural recursion with its replayable traces."""
 
 import hashlib
@@ -22,7 +22,6 @@ from isk4lab.coloring import (
     TraceStep,
     chromatic_number_exact,
     color_complete_multipartite,
-    color_subcubic_line_graph,
     replay_trace,
     structural_four_coloring,
 )
@@ -40,7 +39,7 @@ from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
 from isk4lab.scan import enumerate_small
 
 from oracles import (brute_chromatic_number, coloring_valid_two_pass,
-                     dsatur_reference, has_isk4, root_edge_coloring)
+                     dsatur_reference, has_isk4)
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import C6, K4, K33, K123, K222, PRISM6, all_graphs
 
@@ -55,6 +54,11 @@ PAST_N7 = tuple((FIXTURES / "past_n7.g6").read_text().split())
 # with a 2-edge cut (all ISK4-free), then the refusals at rules 5, 6 and 8
 # (each with an ISK4)
 FOUR_CORES = tuple((FIXTURES / "four_cores.g6").read_text().split())
+
+# the six of them that are subcubic line graphs and not multipartite
+LINE_CORES = tuple(g for g in map(parse_graph6, FOUR_CORES)
+                   if recognize_line_graph_subcubic(g) is not None
+                   and recognize_complete_multipartite(g) is None)
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -110,6 +114,43 @@ SPLIT_NEEDS_FIVE = Graph.from_edges(9, [(2, 3), (2, 4), (3, 4)]
                                     + [(t, v) for t in (2, 3, 4) for v in (0, 1)]
                                     + [(u + 5, v + 5) for u, v in K4.edges()]
                                     + [(0, 5), (0, 6), (1, 7), (1, 8)])
+
+
+def line_graph(root):
+    """Vertex i is the root's i-th edge; two meet iff the edges share an
+    end."""
+    edges = root.edges()
+    return Graph.from_edges(len(edges), [
+        (i, j) for j, f in enumerate(edges) for i, e in enumerate(edges[:j])
+        if set(e) & set(f)])
+
+
+def generalized_petersen(n, k):
+    """GP(n, k): the outer cycle 0..n-1, spokes i ~ n + i, and the inner
+    vertices n + i ~ n + (i + k) mod n."""
+    return Graph.from_edges(2 * n, [e for i in range(n) for e in (
+        (i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n))])
+
+
+def flower_snark(n):
+    """J_n, n odd: a centre a_i with b_i, c_i and d_i for each i; the b's
+    form an n-cycle, and the c's then the d's one 2n-cycle."""
+    a, b, c, d = (lambda i, o=o: o * n + i % n for o in range(4))
+    return Graph.from_edges(4 * n, [e for i in range(n) for e in (
+        (a(i), b(i)), (a(i), c(i)), (a(i), d(i)), (b(i), b(i + 1)),
+        (c(i), c(i + 1) if i < n - 1 else d(0)),
+        (d(i), d(i + 1) if i < n - 1 else c(0)))])
+
+
+# the line graphs of GP(n, k), n = 5..12 and k < n/2 (15 to 36 vertices),
+# and of the flower snarks J5, J7 and J9 (30, 42 and 54 vertices); those of
+# Petersen, GP(5, 2), and of the snarks are class 2: they need four colours
+CUBIC_LINE_GRAPHS = {
+    **{f"GP({n},{k})": line_graph(generalized_petersen(n, k))
+       for n in range(5, 13) for k in range(1, (n + 1) // 2)},
+    **{f"J{n}": line_graph(flower_snark(n)) for n in (5, 7, 9)},
+}
+CLASS_2 = ("GP(5,2)", "J5", "J7", "J9")
 
 
 def pipeline_ok(g):
@@ -221,6 +262,14 @@ class TestBacktrackAgainstReference:
         # colouring or the same None
         for g in kernel_graphs():
             for k in range(1, 5):
+                assert _backtrack(g, k) == dsatur_reference(g, k), (g, k)
+
+    def test_line_graph_leaves(self):
+        # the inputs the SubcubicLineGraph leaf colours with k = 4
+        graphs = [*LINE_CORES, *CUBIC_LINE_GRAPHS.values()]
+        assert len(graphs) == 37
+        for g in graphs:
+            for k in (3, 4) if g.n <= 36 else (4,):
                 assert _backtrack(g, k) == dsatur_reference(g, k), (g, k)
 
 
@@ -371,11 +420,8 @@ class TestFourCores:
 
         monkeypatch.setattr(coloring, "contains_fixed", searched)
         monkeypatch.setattr(coloring, "find_rich_square", searched)
-        hosts = [g for g in map(parse_graph6, FOUR_CORES)
-                 if recognize_line_graph_subcubic(g) is not None
-                 and recognize_complete_multipartite(g) is None]
-        assert len(hosts) == 6
-        for g in hosts:
+        assert len(LINE_CORES) == 6
+        for g in LINE_CORES:
             assert contains_isk4(g) is None
             c, t = pipeline_ok(g)
             assert t.rules() == ["SubcubicLineGraph"]
@@ -463,38 +509,60 @@ class TestMultipartiteColorer:
 
 
 class TestLineGraphColorer:
+    """The SubcubicLineGraph rule's leaf colouring, applied to a scope."""
+
+    @staticmethod
+    def leaf(g):
+        s = coloring._Scope(g, list(range(g.n)))
+        rule = next(r for r in coloring._TABLE if r.name == "SubcubicLineGraph")
+        cert = rule.find(s)
+        assert cert is not None, g
+        col = rule.apply(s, cert, None)
+        return Coloring(tuple(col), max(col, default=-1) + 1)
+
     def test_c5_needs_three(self):
-        c = color_subcubic_line_graph(C5, recognize_line_graph_subcubic(C5))
+        c = self.leaf(C5)
         assert c.k == 3 and c.validate(C5)
 
     def test_p3_needs_two(self):
-        c = color_subcubic_line_graph(P3, recognize_line_graph_subcubic(P3))
+        c = self.leaf(P3)
         assert c.k == 2 and c.validate(P3)
 
     def test_k222_needs_three(self):
         # the root is K4, which is 3-edge-chromatic
-        c = color_subcubic_line_graph(K222, recognize_line_graph_subcubic(K222))
+        c = self.leaf(K222)
         assert c.k == 3 and c.validate(K222)
         assert brute_chromatic_number(K222) == 3
 
     def test_exhaustive_recognized_graphs(self):
         for g in all_graphs(5):
-            cert = recognize_line_graph_subcubic(g)
-            if cert is None:
+            if recognize_line_graph_subcubic(g) is None:
                 continue
-            c = color_subcubic_line_graph(g, cert)
+            c = self.leaf(g)
             assert c.validate(g) and c.k <= 4
             assert c.k >= brute_chromatic_number(g)
 
-    def test_same_as_root_edge_colouring(self):
-        # the search on g gives the colouring of the search on the root
-        for n in range(7):
-            for g in all_graphs(n):
-                cert = recognize_line_graph_subcubic(g)
-                if cert is not None:
-                    ref = root_edge_coloring(g, cert)
-                    assert color_subcubic_line_graph(g, cert) == \
-                        Coloring(tuple(ref), len(set(ref)))
+
+class TestCubicLineGraphs:
+    """Line graphs of cubic graphs past the fixtures, 15 to 54 vertices:
+    4-regular, so the SubcubicLineGraph rule takes each one whole."""
+
+    def test_count(self):
+        assert len(CUBIC_LINE_GRAPHS) == 31
+        assert all(a.bit_count() == 4
+                   for g in CUBIC_LINE_GRAPHS.values() for a in g.adj)
+        assert sorted({g.n for g in CUBIC_LINE_GRAPHS.values()}) == \
+            [15, 18, 21, 24, 27, 30, 33, 36, 42, 54]
+
+    @pytest.mark.parametrize("name", list(CUBIC_LINE_GRAPHS))
+    def test_colours_and_replays(self, name):
+        g = CUBIC_LINE_GRAPHS[name]
+        c, t = pipeline_ok(g)
+        assert t.rules()[0] == "SubcubicLineGraph"
+        assert c.validate(g) and c.k <= 4
+        assert replay_trace(g, t) == c
+        if name in CLASS_2:
+            assert c.k == 4
 
 
 class TestPipelineExamples:
@@ -703,11 +771,14 @@ class TestTraceReplay:
 
     def test_replay_never_runs_the_exact_search(self, monkeypatch):
         # F]rE? and FlUJ_ have a proper 2-cutset whose sides disagree on
-        # the cut pair
+        # the cut pair.  The SubcubicLineGraph leaf colours with _backtrack,
+        # so no trace here may apply it
         hosts = [*kernel_graphs(), parse_graph6("F]rE?"), parse_graph6("FlUJ_")]
         traces = [(g, out) for g in hosts
                   if isinstance(out := structural_four_coloring(g), tuple)]
         assert any("LowDegreePeel" in t.rules() for _, (_, t) in traces)
+        assert not any("SubcubicLineGraph" in t.rules()
+                       for _, (_, t) in traces)
 
         def searched(*args):
             raise AssertionError("replay ran the exact search")

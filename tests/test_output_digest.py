@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -13,6 +14,12 @@ import isk4lab.cli as cli
 from scripts.output_digest import FAMILIES, ROOT, _child, digests
 
 LIMIT = 3
+
+# what output_digest.py --rev reads from its checkout: the scripts, the
+# package (also in the archived revision), the ladders and the inputs
+READ = ("scripts/output_digest.py", "scripts/bench_pairs.py", "src/isk4lab",
+        "bench/ladders.py", *(f"tests/fixtures/{name}.g6" for name in (
+            "scan_stream_100k", "past_n7", "four_cores", "comp_n9")))
 
 
 def test_equal_trees_give_equal_digests():
@@ -54,14 +61,33 @@ def _tail(f, size: int = 2000) -> str:
     return f.read()[-size:].decode(errors="replace")
 
 
-def test_sigterm_removes_the_extracted_tree_and_its_child(tmp_path):
+def _repository(into: Path) -> Path:
+    """A git repository of one commit holding the files READ names, so
+    that --rev HEAD works in a checkout without .git too."""
+    for name in READ:
+        (into / name).parent.mkdir(parents=True, exist_ok=True)
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, into / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy(ROOT / name, into / name)
+    git = ["git", "-c", "user.name=isk4lab", "-c", "user.email=isk4lab@test",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "copy"]):
+        subprocess.run(git + args, cwd=into, check=True, capture_output=True)
+    return into
+
+
+def test_sigterm_removes_the_extracted_tree_and_its_child(tmp_path,
+                                                          tmp_path_factory):
     """Stopped by SIGTERM while it digests the extracted revision,
     output_digest.py --rev exits and leaves neither the git archive copy
     nor the child digesting it behind."""
+    repo = _repository(tmp_path_factory.mktemp("repo"))
     env = {**os.environ, "TMPDIR": str(tmp_path)}
     with tempfile.TemporaryFile() as err:  # tmp_path must end empty
         proc = subprocess.Popen(
-            [sys.executable, str(ROOT / "scripts" / "output_digest.py"),
+            [sys.executable, str(repo / "scripts" / "output_digest.py"),
              "--rev", "HEAD", "--limit", str(LIMIT)],
             env=env, stdout=subprocess.DEVNULL, stderr=err)
         try:
