@@ -91,7 +91,7 @@ def _load_graph(source: str, fmt: str) -> Graph:
     try:
         if fmt == "edgelist":
             return parse_edge_list(text)
-        for line in text.splitlines() or [""]:
+        for line in text.splitlines():
             if line.strip():
                 return parse_graph6(line.strip())
         return parse_graph6("")

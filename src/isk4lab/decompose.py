@@ -133,8 +133,6 @@ def find_proper_2cutset(g: Graph) -> Optional[Proper2Cutset]:
             continue
         rest = g.vertex_mask & ~(1 << a | 1 << b)
         comps = components(g, rest)
-        if len(comps) < 2:
-            continue  # one component cannot split into anticomplete halves
         for pick in range(1, (1 << len(comps)) - 1):
             x = 0
             for i, c in enumerate(comps):

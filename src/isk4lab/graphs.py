@@ -299,14 +299,6 @@ def chain(g: Graph, mask: int, prev: int, cur: int) -> list[int]:
     return walk
 
 
-def is_hole(g: Graph, mask: int) -> bool:
-    """Is g[mask] a chordless cycle on at least four vertices: every vertex
-    of degree 2 in g[mask], and connected?  Two disjoint cycles are not one."""
-    return mask.bit_count() >= 4 \
-        and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)) \
-        and is_connected(g, mask)
-
-
 def has_k4_minor(g: Graph) -> bool:
     """Does g have a K4 minor?
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .graphs import (Graph, attachment, bits, chain, components, has_k4_minor,
-                     induced_subgraph, is_clique, is_connected, is_hole, mask_of)
+                     induced_subgraph, is_clique, is_connected, mask_of)
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,13 @@ def is_prism(g: Graph, mask: int) -> bool:
 
 
 def _is_wheel(g: Graph, mask: int) -> bool:
+    """Is g[mask] a hole plus a hub with at least three neighbours on it?
+    mask has at least five vertices (the search's min_size), so each rim has
+    at least four and is a hole iff it smooths with no branch vertex."""
     for h in bits(mask):
         rest = mask & ~(1 << h)
-        if (g.adj[h] & rest).bit_count() >= 3 and is_hole(g, rest):
+        if (g.adj[h] & rest).bit_count() >= 3 \
+                and _smoothing(g, rest, 0) is not None:
             return True
     return False
 
@@ -186,11 +190,6 @@ def contains_isk4(g: Graph) -> Optional[int]:
     return _subset_search(g, 4, is_k4_subdivision, 0)
 
 
-def _mask_witness(g: Graph, mask: int) -> PatternWitness:
-    sub, vmap = induced_subgraph(g, mask)
-    return PatternWitness(sub, tuple(vmap))
-
-
 _FIXED = {
     "K33": Graph.complete_multipartite((3, 3)),
     "K222": Graph.complete_multipartite((2, 2, 2)),
@@ -208,7 +207,10 @@ def contains_fixed(g: Graph, which: str) -> Optional[PatternWitness]:
         mask = _subset_search(g, 5, _is_wheel, 1)
     else:
         raise ValueError(f"unknown pattern {which!r}")
-    return _mask_witness(g, mask) if mask is not None else None
+    if mask is None:
+        return None
+    sub, vmap = induced_subgraph(g, mask)
+    return PatternWitness(sub, tuple(vmap))
 
 
 # -- complete tripartite K_{1,2,n} embeddings ------------------------------

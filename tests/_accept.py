@@ -3,18 +3,19 @@
 The expensive verdicts (pattern freeness, lemma conclusions, oracle
 comparisons) are isomorphism-invariant, so each is computed once per
 isomorphism class and expanded to the labeled universe through a canonical
-map.  The map itself is built vectorized: for each n, every labeled
-adjacency code is driven to the minimum code in its orbit by repeated
-min-propagation along two generating relabelings (a transposition and an
-n-cycle), which converges because those two generate the full symmetric
-group.  Criteria that depend on the labeling (the structural coloring run
-itself) still execute per labeled graph.
+map.  For each n the map comes from one orbit walk: the labeled adjacency
+codes are visited in ascending order, and each code not yet reached starts
+a depth-first walk over its orbit under two relabelings (a transposition
+and an n-cycle, which generate the full symmetric group), marking every
+code reached with the starting code, the orbit's least.  Criteria that
+depend on the labeling (the structural coloring run itself) still execute
+per labeled graph.
 """
 
+from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
 
 from isk4lab.graphs import Graph, is_connected
 from isk4lab.patterns import contains_induced, contains_isk4
@@ -37,47 +38,49 @@ def _slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _transform(n: int, perm: tuple[int, ...]) -> np.ndarray:
-    """T with T[c] = adjacency code of c after relabeling v -> perm[v]."""
+def _chunk_tables(n: int, perm: tuple[int, ...]) -> list[list[int]]:
+    """Relabeling v -> perm[v] on codes, as three lookup tables: the code
+    of c relabeled is the OR of tables[k][chunk k of c], chunk k being bits
+    7k to 7k + 6 of c."""
     slot = {pair: p for p, pair in enumerate(_slots(n))}
-    inv = [0] * n
-    for v, w in enumerate(perm):
-        inv[w] = v
-    codes = np.arange(1 << len(slot), dtype=np.int32)
-    out = np.zeros_like(codes)
-    for p, (a, b) in enumerate(_slots(n)):
-        u, v = sorted((inv[a], inv[b]))
-        out |= ((codes >> slot[(u, v)]) & 1) << p
-    return out
+    image = [slot[min(perm[a], perm[b]), max(perm[a], perm[b])]
+             for a, b in _slots(n)]
+    chunks = [image[lo:lo + 7] for lo in (0, 7, 14)]
+    return [[sum(1 << p for i, p in enumerate(chunk) if c >> i & 1)
+             for c in range(1 << len(chunk))] for chunk in chunks]
 
 
 @lru_cache(maxsize=None)
-def canon_map(n: int) -> np.ndarray:
+def canon_map(n: int) -> array:
     """canon[c] = least labeled code isomorphic to code c."""
-    if n == 1:
-        return np.zeros(1, dtype=np.int32)
-    gens = [tuple([1, 0] + list(range(2, n))),
-            tuple(list(range(1, n)) + [0])]
-    trans = [_transform(n, g) for g in gens]
-    canon = np.arange(1 << (n * (n - 1) // 2), dtype=np.int32)
-    while True:
-        before = canon
-        for t in trans:
-            canon = np.minimum(canon, canon[t])
-        if np.array_equal(canon, before):
-            return canon
+    assert n <= 7, "three seven-bit chunks hold the 21 slots of n = 7"
+    (a0, a1, a2), (b0, b1, b2) = (
+        _chunk_tables(n, perm)
+        for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)))
+    canon = array("i", [-1]) * (1 << (n * (n - 1) // 2))
+    for start in range(len(canon)):
+        if canon[start] >= 0:
+            continue
+        canon[start] = start
+        stack = [start]
+        while stack:
+            c = stack.pop()
+            lo, mid, hi = c & 127, c >> 7 & 127, c >> 14
+            for d in (a0[lo] | a1[mid] | a2[hi], b0[lo] | b1[mid] | b2[hi]):
+                if canon[d] < 0:
+                    canon[d] = start
+                    stack.append(d)
+    return canon
 
 
 @lru_cache(maxsize=None)
 def class_reps(n: int) -> tuple[int, ...]:
-    canon = canon_map(n)
-    return tuple(np.flatnonzero(
-        canon == np.arange(len(canon), dtype=np.int32)).tolist())
+    return tuple(c for c, rep in enumerate(canon_map(n)) if c == rep)
 
 
-def class_size(n: int) -> np.ndarray:
+def class_size(n: int) -> Counter:
     """Labeled count of each code's class, indexed by representative code."""
-    return np.bincount(canon_map(n))
+    return Counter(canon_map(n))
 
 
 @lru_cache(maxsize=None)
@@ -96,14 +99,10 @@ def rep_flags(n: int) -> dict[int, dict]:
     return out
 
 
-def labeled_codes_where(n: int, pred) -> np.ndarray:
+def labeled_codes_where(n: int, pred) -> list[int]:
     """All labeled codes whose class satisfies the predicate on its flags."""
-    canon = canon_map(n)
-    ok = np.zeros(len(canon), dtype=bool)
-    for code, flags in rep_flags(n).items():
-        if pred(flags):
-            ok[code] = True
-    return np.flatnonzero(ok[canon])
+    ok = {code for code, flags in rep_flags(n).items() if pred(flags)}
+    return [c for c, rep in enumerate(canon_map(n)) if rep in ok]
 
 
 def _edges_connected(es: tuple, k: int) -> bool:
@@ -146,5 +145,5 @@ def subcubic_line_graph_codes(m: int) -> frozenset:
                 a, b = es[i], es[j]
                 if a[0] in b or a[1] in b:
                     code |= 1 << p
-            out.add(int(canon[code]))
+            out.add(canon[code])
     return frozenset(out)

@@ -11,6 +11,7 @@ Verdicts that cannot depend on the labeling are computed once per
 isomorphism class; the structural coloring itself runs per labeled graph.
 """
 
+from math import factorial
 from pathlib import Path
 
 from isk4lab.coloring import (
@@ -52,19 +53,26 @@ DEFAULT_BUDGET = 20000
 
 
 def test_canonical_map():
-    # the class counts are the known ones, and the map sends the brute-force
-    # per-class minimum codes of the n <= 5 fixture onto its representatives
+    # the class counts are the known ones, every code is marked, each class
+    # size divides n! (orbit-stabiliser) and every representative is its own
+    # image; and the map sends the brute-force per-class minimum codes of the
+    # n <= 5 fixture onto its representatives
     for n in range(1, 8):
         assert len(class_reps(n)) == CLASS_COUNTS[n - 1], n
         assert sum(f["connected"] for f in rep_flags(n).values()) == \
             CONNECTED_CLASS_COUNTS[n - 1], n
+        sizes = class_size(n)
+        assert sum(sizes[rep] for rep in class_reps(n)) == \
+            1 << (n * (n - 1) // 2), n
+        assert all(factorial(n) % size == 0 for size in sizes.values()), n
+        assert all(canon_map(n)[rep] == rep for rep in class_reps(n)), n
     fixture = {}
     for line in (FIXTURES / "small_graphs_n_le_5.g6").read_text().split():
         g = parse_graph6(line)
         fixture.setdefault(g.n, []).append(g.code())
     assert sorted(fixture) == [1, 2, 3, 4, 5]
     for n, codes in fixture.items():
-        assert sorted(int(canon_map(n)[c]) for c in codes) == \
+        assert sorted(canon_map(n)[c] for c in codes) == \
             list(class_reps(n)) == sorted(codes), n
 
 
@@ -97,10 +105,10 @@ def test_structural_coloring_sweep():
         codes = labeled_codes_where(
             n, lambda f: f["connected"] and f["isk4_free"] and f["k123"])
         for code in codes:
-            g = Graph.from_code(n, int(code))
+            g = Graph.from_code(n, code)
             out = structural_four_coloring(g)
             if isinstance(out, ColoringFailure):
-                failures.append((n, int(code), out.kind, out.rule))
+                failures.append((n, code, out.kind, out.rule))
                 continue
             col, trace = out
             assert col.k <= 4 and col.validate(g)
@@ -117,10 +125,10 @@ def test_chromatic_bound_sweep():
     for n in range(1, 7):
         for code in labeled_codes_where(
                 n, lambda f: f["connected"] and f["isk4_free"]):
-            g = Graph.from_code(n, int(code))
+            g = Graph.from_code(n, code)
             col = chromatic_number_exact(g, 4)
             if col is None:
-                violations.append((n, int(code)))
+                violations.append((n, code))
             else:
                 assert col.validate(g)
             done += 1
@@ -142,7 +150,7 @@ def test_lemma_sweeps():
     for n in range(1, 8):
         sizes = class_size(n)
         for code, g in rep_graphs(n).items():
-            weight = int(sizes[code])
+            weight = sizes[code]
             rep = check_lemma(g, "L-LINK", budget=DEFAULT_BUDGET)
             assert rep.consistent()
             if rep.counterwitness is not None:

@@ -16,7 +16,6 @@ from isk4lab.decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.coloring import structural_four_coloring
 from isk4lab.graphs import (Graph, bits, components, induced_subgraph,
                             is_connected, mask_of, parse_graph6)
 from isk4lab.patterns import contains_isk4
@@ -68,32 +67,30 @@ class TestCliqueCutset:
             assert got.validate(g)
 
     def test_floor_keeps_the_least_cutset_of_each_piece(self):
-        # every piece K ∪ C of every clique-cutset split the recursion makes
-        # on n <= 6 and on the seeded series-parallel graphs: the search
-        # floored at C finds the piece's least clique cutset.  A disconnected
-        # host's pieces are those of its components, which come up as
-        # connected hosts of their own
+        # every piece K ∪ C of the clique-cutset decomposition of every
+        # connected graph on n <= 6 and of the seeded series-parallel graphs,
+        # each graph split at its least clique cutset C and each piece split
+        # again at its own: the search floored at C finds the piece's least
+        # clique cutset
         hosts = [g for n in range(7) for g in all_graphs(n) if is_connected(g)]
         hosts += [g for g in kernel_graphs() if g.n > 6]
+        todo = [(g, find_clique_cutset(g)) for g in hosts]
         seen = set()
-        for g in hosts:
-            out = structural_four_coloring(g)
-            if not isinstance(out, tuple):
+        while todo:
+            g, cc = todo.pop()
+            if cc is None:
                 continue
-            for step in out[1].steps:
-                if step.rule != "CliqueCutsetSplit":
+            for k in components(g, g.vertex_mask & ~mask_of(cc.vertices)):
+                piece, back = induced_subgraph(g, k | mask_of(cc.vertices))
+                c = tuple(back.index(v) for v in cc.vertices)
+                if (piece.adj, c) in seen:
                     continue
-                cut = mask_of(step.detail["cutset"])
-                for k in components(g, step.scope & ~cut):
-                    piece, back = induced_subgraph(g, k | cut)
-                    c = tuple(back.index(v) for v in step.detail["cutset"])
-                    if (piece.adj, c) in seen:
-                        continue
-                    seen.add((piece.adj, c))
-                    least = find_clique_cutset(piece)
-                    assert find_clique_cutset(piece, after=c) == least
-                    assert (least and least.vertices) == \
-                        oracles.least_clique_cutset(piece), (g, step)
+                seen.add((piece.adj, c))
+                least = find_clique_cutset(piece)
+                assert find_clique_cutset(piece, after=c) == least
+                assert (least and least.vertices) == \
+                    oracles.least_clique_cutset(piece), (g, cc)
+                todo.append((piece, least))
         assert len(seen) > 1000
 
     def test_floor_skips_up_to_and_including_it(self):

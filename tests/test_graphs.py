@@ -23,7 +23,6 @@ from isk4lab.graphs import (
     induced_subgraph,
     is_clique,
     is_connected,
-    is_hole,
     is_induced_cycle,
     is_induced_path,
     mask_of,
@@ -379,25 +378,6 @@ class TestSetOps:
         assert not is_clique(g, mask_of([0, 2]))
         assert is_clique(Graph.complete(5), 0b11111)
         assert not is_clique(Graph.from_edges(3, [(0, 1), (1, 2)]), 0b111)
-
-    def test_is_hole_against_networkx(self):
-        # every graph with n <= 5 and every vertex mask: g[mask] is a hole
-        # iff it is connected, 2-regular and has at least four vertices
-        for n in range(6):
-            for code in range(1 << n * (n - 1) // 2):
-                g = Graph.from_code(n, code)
-                host = oracles.to_nx(g)
-                for mask in range(1 << n):
-                    sub = host.subgraph(bits(mask))
-                    expect = len(sub) >= 4 and nx.is_connected(sub) and \
-                        all(d == 2 for _, d in sub.degree())
-                    assert is_hole(g, mask) == expect, (n, code, mask)
-
-    def test_two_disjoint_holes_are_not_one(self):
-        g = Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)] +
-                             [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
-        assert not is_hole(g, g.vertex_mask)
-        assert is_hole(g, 0b00001111) and is_hole(g, 0b11110000)
 
     @given(graphs)
     def test_components_partition(self, g):

@@ -19,8 +19,9 @@ from isk4lab.decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, has_k4_minor, is_hole, parse_graph6
+from isk4lab.graphs import Graph, has_k4_minor, parse_graph6
 from isk4lab.patterns import (
+    _smoothing,
     contains_fixed,
     contains_induced,
     contains_isk4,
@@ -79,7 +80,8 @@ def profile(g):
         "multipartite": recognize_complete_multipartite(g),
         "line_graph": recognize_line_graph_subcubic(g),
     }
-    return {"k4_minor": has_k4_minor(g), "hole": is_hole(g, g.vertex_mask),
+    return {"k4_minor": has_k4_minor(g),
+            "hole": g.n >= 4 and _smoothing(g, g.vertex_mask, 0) is not None,
             **{name: out is not None for name, out in found.items()},
             "chi": chromatic_number_exact(g).k,
             "structural": structural_verdict(g)}

@@ -14,6 +14,7 @@ from isk4lab.patterns import (
     K12nEmbedding,
     SquareLinkStructure,
     _is_wheel,
+    _smoothing,
     contains_fixed,
     contains_induced,
     contains_isk4,
@@ -162,7 +163,30 @@ def planted_prisms(seed, count):
 
 
 class TestSmoothingPredicates:
-    """is_k4_subdivision and is_prism against the literal smoothing oracles."""
+    """is_k4_subdivision and is_prism against the literal smoothing oracles,
+    and smoothing with no branch vertex (the wheel's rim test) against
+    networkx."""
+
+    def test_cycle_every_mask_n_le_5(self):
+        # a nonempty g[mask] smooths with no branch vertex iff it is
+        # connected, 2-regular and has at least three vertices: a chordless
+        # cycle (the empty set passes vacuously; no caller hands it over)
+        for n in range(6):
+            for g in all_graphs(n):
+                host = oracles.to_nx(g)
+                for mask in range(1, 1 << n):
+                    sub = host.subgraph(bits(mask))
+                    expect = len(sub) >= 3 and nx.is_connected(sub) and \
+                        all(d == 2 for _, d in sub.degree())
+                    assert (_smoothing(g, mask, 0) is not None) == expect, \
+                        (n, g.code(), mask)
+
+    def test_two_disjoint_cycles_are_not_one(self):
+        g = Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)] +
+                             [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+        assert _smoothing(g, g.vertex_mask, 0) is None
+        assert _smoothing(g, 0b00001111, 0) == []
+        assert _smoothing(g, 0b11110000, 0) == []
 
     def test_k4_subdivision_every_mask_n_le_5(self):
         for n in range(6):
