@@ -19,6 +19,10 @@ structure that forces a base class is there, else at rule 8.
 The leaves are the base classes: a complete multipartite graph takes its
 parts as colour classes, and a subcubic line graph takes the exact search's
 first 4-colouring, which Vizing's theorem guarantees.
+
+A scope is a vertex mask of the input graph, and every rule works in the
+input's ids with no copy of the scope; only the line-graph leaf and the
+refusal build its induced subgraph, and both see only 4-cores.
 """
 
 from __future__ import annotations
@@ -234,64 +238,66 @@ def _four_colour_line_graph(h: Graph) -> list[int]:
 
 
 class _Scope:
-    """One instance of the recursion on more than four vertices, the graph
-    h; rules work in h's ids, vertex i being g's back[i].  A clique-cutset
-    piece keeps its parent's cutset (in its own ids) as `after`, the floor
-    of its own search."""
+    """One instance of the recursion on more than four vertices: the
+    vertices `mask` of the input graph g, every rule working in g's ids.  A
+    clique-cutset piece keeps its parent's cutset as `after`, the floor of
+    its own search."""
 
-    def __init__(self, h: Graph, back: list[int],
-                 after: Optional[list[int]] = None):
-        self.h = h
-        self.back = back
+    def __init__(self, g: Graph, mask: int, after: Optional[list[int]] = None):
+        self.g = g
+        self.mask = mask
         self.after = after
-        self.mask = mask_of(back)  # in g's ids
-
-    def orig(self, vs: Iterable[int]) -> list[int]:
-        return [self.back[v] for v in vs]
-
-    def local(self, vs: Iterable[int]) -> list[int]:
-        return [self.index[v] for v in vs]
 
     @cached_property
-    def index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.back)}
+    def induced(self) -> tuple[Graph, list[int]]:
+        """g[mask] and its vertex map, built only by the line-graph leaf and
+        the refusal, which see only 4-cores."""
+        return induced_subgraph(self.g, self.mask)
 
 
-def _merge(base: dict[int, int], other: dict[int, int],
-           shared: tuple[int, ...]) -> dict[int, int]:
-    """Overlay `other` onto `base` after permuting its colours so the shared
-    clique agrees; leftover colours go to the lowest free ids."""
+def _ids(s: _Scope, vs: Iterable[int]) -> list[int]:
+    """A trace's vertex list, each one of g's ids, so that no mask is built
+    from a vertex g does not have; IndexError otherwise."""
+    vs = list(vs)
+    if not all(0 <= v < s.g.n for v in vs):
+        raise IndexError(f"{vs} names a vertex outside 0..{s.g.n - 1}")
+    return vs
+
+
+def _merge(base: list[int], other: list[int], own: int,
+           shared: tuple[int, ...]) -> None:
+    """Overlay other's colours on the vertices of own onto base, after
+    permuting them so the shared clique agrees; leftover colours go to the
+    lowest free ids."""
     pi = {other[v]: base[v] for v in shared}
     targets = set(pi.values())
     # a clique takes distinct colours on both sides
     assert len(pi) == len(targets) == len(shared)
     nxt = 0
-    for c in sorted(set(other.values())):
+    for c in sorted({other[v] for v in bits(own)}):
         if c in pi:
             continue
         while nxt in targets:
             nxt += 1
         pi[c] = nxt
         targets.add(nxt)
-    out = dict(base)
-    for v, c in other.items():
-        out[v] = pi[c]
-    return out
+    for v in bits(own):
+        base[v] = pi[other[v]]
 
 
-def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> dict[int, int]:
+def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> list[int]:
     smask = mask_of(cc.vertices)
-    merged: Optional[dict[int, int]] = None
-    for cm in components(s.h, s.h.vertex_mask & ~smask):
-        part = sub(cm | smask, after=cc.vertices)
-        merged = part if merged is None else _merge(merged, part, cc.vertices)
-    return merged
+    first, *rest = components(s.g, s.mask & ~smask)
+    col = sub(first | smask, after=cc.vertices)
+    for cm in rest:
+        _merge(col, sub(cm | smask, after=cc.vertices), cm, cc.vertices)
+    return col
 
 
 def _smallest_last(s: _Scope) -> Optional[list[int]]:
     """The smallest-last order: each time the least vertex with at most
     three neighbours left.  None when every vertex has four or more."""
-    adj, left, order = s.h.adj, s.h.vertex_mask, []
+    adj, left, order = s.g.adj, s.mask, []
     while True:
         v = next((v for v in bits(left) if (adj[v] & left).bit_count() <= 3),
                  None)
@@ -301,62 +307,67 @@ def _smallest_last(s: _Scope) -> Optional[list[int]]:
         left &= ~(1 << v)
 
 
-def _peels(h: Graph, order: list[int]) -> bool:
-    """Is order a non-empty sequence of distinct vertices of h, each with at
-    most three neighbours left when it is removed?"""
-    left = h.vertex_mask
+def _peels(s: _Scope, order: list[int]) -> bool:
+    """Is order a non-empty sequence of distinct vertices of the scope, each
+    with at most three neighbours left when it is removed?"""
+    left = s.mask
     for v in order:
-        if not left >> v & 1 or (h.adj[v] & left).bit_count() > 3:
+        if not left >> v & 1 or (s.g.adj[v] & left).bit_count() > 3:
             return False
         left &= ~(1 << v)
     return bool(order)
 
 
-def _peel(s: _Scope, order: list[int], sub) -> dict[int, int]:
+def _peel(s: _Scope, order: list[int], sub) -> list[int]:
     # each peeled vertex sees at most three vertices coloured before it:
     # the rest and the vertices peeled after it
-    rest = s.h.vertex_mask & ~mask_of(order)
-    out = sub(rest)
+    done = s.mask & ~mask_of(order)
+    out = sub(done)
     for v in reversed(order):
-        out[v] = min(set(range(4)) - {out.get(u) for u in bits(s.h.adj[v])})
+        out[v] = min(set(range(4)) - {out[u] for u in bits(s.g.adj[v] & done)})
+        done |= 1 << v
     return out
 
 
 # One entry per trace rule, in proof order.  find(s) gives a certificate in
-# h's ids, or None when the rule does not apply; encode(s, cert)
-# and decode(s, detail) map it to and from the trace detail (original ids);
-# check(s, cert) re-validates a decoded one, by default with its validate;
-# apply(s, cert, sub) colours h, sub(m) giving h[m]'s colouring keyed by h's
-# ids, and returns h's colouring, indexed by h's ids.  Detectors are looked
-# up by module-global name at call time, so rebinding them on this module
+# g's ids, or None when the rule does not apply; encode(s, cert) and
+# decode(s, detail) map it to and from the trace detail; check(s, cert)
+# re-validates a decoded one, that it lies in the scope included;
+# apply(s, cert, sub) colours the scope, sub(m) giving g[m]'s colouring as
+# a list indexed by g's ids, and returns the scope's colours indexed by g's
+# ids.  SubcubicLineGraph alone works in the induced scope: its edge_of
+# lists the scope's vertices in ascending order.  Detectors are looked up
+# by module-global name at call time, so rebinding them on this module
 # reaches every call.
-_Rule = namedtuple("_Rule", "name find encode decode apply check",
-                   defaults=(lambda s, cert: cert.validate(s.h),))
+_Rule = namedtuple("_Rule", "name find encode decode apply check")
 _TABLE = (
     _Rule("CliqueCutsetSplit",
-          find=lambda s: find_clique_cutset(s.h, after=s.after),
-          encode=lambda s, cc: {"cutset": s.orig(cc.vertices)},
-          decode=lambda s, d: CliqueCutset(tuple(sorted(s.local(d["cutset"])))),
-          apply=_split_clique),
+          find=lambda s: find_clique_cutset(s.g, after=s.after, within=s.mask),
+          encode=lambda s, cc: {"cutset": list(cc.vertices)},
+          decode=lambda s, d: CliqueCutset(tuple(sorted(_ids(s, d["cutset"])))),
+          apply=_split_clique,
+          check=lambda s, cc: cc.validate(s.g, s.mask)),
     _Rule("LowDegreePeel", find=_smallest_last,
-          encode=lambda s, order: {"order": s.orig(order)},
-          decode=lambda s, d: s.local(d["order"]),
-          check=lambda s, order: _peels(s.h, order),
-          apply=_peel),
+          encode=lambda s, order: {"order": list(order)},
+          decode=lambda s, d: _ids(s, d["order"]),
+          apply=_peel, check=_peels),
     _Rule("Multipartite",
-          find=lambda s: (mp if (mp := recognize_complete_multipartite(s.h))
-                          is not None and len(mp.parts) <= 4 else None),
-          encode=lambda s, mp: {"parts": [s.orig(bits(p)) for p in mp.parts]},
+          find=lambda s: (mp if (mp := recognize_complete_multipartite(
+              s.g, s.mask)) is not None and len(mp.parts) <= 4 else None),
+          encode=lambda s, mp: {"parts": [list(bits(p)) for p in mp.parts]},
           decode=lambda s, d: MultipartiteCert(
-              tuple(mask_of(s.local(part)) for part in d["parts"])),
-          check=lambda s, mp: len(mp.parts) <= 4 and mp.validate(s.h),
-          apply=lambda s, mp, sub: color_complete_multipartite(mp).color),
+              tuple(mask_of(_ids(s, part)) for part in d["parts"])),
+          apply=lambda s, mp, sub: {v: i for i, part in enumerate(mp.parts)
+                                    for v in bits(part)},
+          check=lambda s, mp: len(mp.parts) <= 4 and mp.validate(s.g, s.mask)),
     _Rule("SubcubicLineGraph",
-          find=lambda s: recognize_line_graph_subcubic(s.h),
+          find=lambda s: recognize_line_graph_subcubic(s.induced[0]),
           encode=lambda s, lg: {"edge_of": [list(e) for e in lg.edge_of]},
           decode=lambda s, d: SubcubicRootCert(
               tuple(tuple(e) for e in d["edge_of"])),
-          apply=lambda s, lg, sub: _four_colour_line_graph(s.h)),
+          apply=lambda s, lg, sub: dict(zip(
+              s.induced[1], _four_colour_line_graph(s.induced[0]))),
+          check=lambda s, lg: lg.validate(s.induced[0])),
 )
 RULES = tuple(rule.name for rule in _TABLE)
 
@@ -370,42 +381,43 @@ def _first_rule(s: _Scope) -> tuple[_Rule, object]:
     raise _Fail(s)
 
 
-def _refusal(g: Graph, s: _Scope) -> ColoringFailure:
-    """Why no rule takes the scope s of g, in proof order.  With no clique
+def _refusal(s: _Scope) -> ColoringFailure:
+    """Why no rule takes the scope s, in proof order.  With no clique
     cutset, a K_{3,3} forces complete multipartite (rule 5), and a prism or
     rich square forces the line graph of a max-degree-3 graph (rule 6).
     Past those, s is a 4-core outside every base class (rule 8): it needs
-    five colours when the exact search finds no 4-colouring, and then g is
-    a counterexample candidate if it has no induced K4 subdivision."""
-    k33 = contains_fixed(s.h, "K33")
+    five colours when the exact search finds no 4-colouring, and then the
+    input graph is a counterexample candidate if it has no induced K4
+    subdivision."""
+    h, vmap = s.induced
+    k33 = contains_fixed(h, "K33")
     if k33 is not None:
-        mp = recognize_complete_multipartite(s.h)
+        mp = recognize_complete_multipartite(h)
         return ColoringFailure("hypothesis_violation", 5, s.mask, {
             "expectation": "with K_{3,3} present and no clique cutset the "
                            "graph must be complete multipartite on at most "
                            "four parts",
-            "k33_vertices": sorted(s.orig(k33.mapping)),
+            "k33_vertices": sorted(vmap[v] for v in k33.mapping),
             "parts": None if mp is None else len(mp.parts),
         })
-    prism, rich = contains_fixed(s.h, "prism"), find_rich_square(s.h)
+    prism, rich = contains_fixed(h, "prism"), find_rich_square(h)
     if prism is not None or rich is not None:
         return ColoringFailure("hypothesis_violation", 6, s.mask, {
             "expectation": "with a prism or rich square present and no "
                            "clique cutset the graph must be the line graph "
                            "of a max-degree-3 graph",
             "prism_vertices": None if prism is None
-            else sorted(s.orig(prism.mapping)),
-            "square": None if rich is None else s.orig(rich.square),
+            else sorted(vmap[v] for v in prism.mapping),
+            "square": None if rich is None else [vmap[v] for v in rich.square],
         })
-    vertices = list(bits(s.mask))
-    if chromatic_number_exact(s.h, 4) is not None:
+    if chromatic_number_exact(h, 4) is not None:
         return ColoringFailure("hypothesis_violation", 8, s.mask, {
             "expectation": "a graph with no clique cutset that is in no base "
                            "class must have a vertex of degree at most 3",
-            "vertices": vertices,
+            "vertices": vmap,
         })
-    evidence = {"bound": 4, "vertices": vertices}
-    free = contains_isk4(g) is None
+    evidence = {"bound": 4, "vertices": vmap}
+    free = contains_isk4(s.g) is None
     if free:
         evidence["note"] = ("needs five colours yet has no induced K4 "
                             "subdivision: counterexample candidate")
@@ -417,44 +429,43 @@ def _refusal(g: Graph, s: _Scope) -> ColoringFailure:
 PIECES_BOUND = 4096
 
 
-def _solve(h: Graph, back: list[int], pick: Callable,
+def _solve(g: Graph, mask: int, pick: Callable,
            after: Optional[list[int]] = None,
            pieces: Optional[dict] = None) -> list[int]:
-    """Colour h, whose vertex i is g's vertex back[i], and return the
-    colouring in h's ids, renumbered by first occurrence.  At most four
-    vertices take distinct colours.  Else pick(s) gives the rule and its
-    certificate in the scope's ids, once per call and in pre-order, a
-    disconnected h too (its rule is the empty clique cutset).  sub(m)
-    returns h[m]'s colouring keyed by h's ids: at most four vertices take
-    distinct colours in vertex order, without inducing h[m]; else h[m] is
-    induced from h, so vertex maps compose.
+    """Colour g[mask] and return the colours of mask's vertices in
+    ascending order, renumbered by first occurrence: the same list as the
+    colouring of g[mask]'s induced copy in its own ids.  At most
+    four vertices take distinct colours.  Else pick(s) gives the rule and
+    its certificate in g's ids, once per call and in pre-order, a
+    disconnected scope too (its rule is the empty clique cutset).  sub(m)
+    returns g[m]'s colouring as a list indexed by g's ids, m being a proper
+    subset of mask.
 
     With pieces, each piece of a clique-cutset split (the only scopes with
-    an `after`) with more than four vertices is looked up by its adjacency.
-    A hit returns the stored colouring and calls no pick; a miss stores
-    the colouring once the subtree succeeds.  The key can ignore `after`:
-    the clique-cutset floor is exact, so the whole subtree depends on h
-    alone."""
-    if h.n <= 4:
-        return list(range(h.n))
-    key = h.adj if pieces is not None and after is not None else None
-    if key is not None and key in pieces:
-        return pieces[key]
-    s = _Scope(h, back, after)
+    an `after`) with more than four vertices is looked up by the adjacency
+    of its induced copy.  A hit returns the stored colouring and calls no
+    pick; a miss stores the colouring once the subtree succeeds.  The key
+    can ignore `after`: the clique-cutset floor is exact, so the whole
+    subtree depends on the induced copy alone."""
+    if mask.bit_count() <= 4:
+        return list(range(mask.bit_count()))
+    key = None
+    if pieces is not None and after is not None:
+        key = induced_subgraph(g, mask)[0].adj
+        if key in pieces:
+            return pieces[key]
+    s = _Scope(g, mask, after)
 
-    def sub(m: int, after: Optional[Iterable[int]] = None) -> dict[int, int]:
-        assert m != h.vertex_mask, "every rule must shrink its instance"
-        if m.bit_count() <= 4:
-            return {v: i for i, v in enumerate(bits(m))}
-        piece, vmap = induced_subgraph(h, m)
-        if after is not None:
-            after = [vmap.index(v) for v in after]
-        return dict(zip(vmap, _solve(piece, [back[v] for v in vmap], pick,
-                                     after, pieces)))
+    def sub(m: int, after: Optional[Iterable[int]] = None) -> list[int]:
+        assert m != mask, "every rule must shrink its instance"
+        col = [0] * g.n
+        for v, c in zip(bits(m), _solve(g, m, pick, after, pieces)):
+            col[v] = c
+        return col
 
     rule, cert = pick(s)
     col = rule.apply(s, cert, sub)
-    canon = _canon_list(col[v] for v in range(h.n))
+    canon = _canon_list(col[v] for v in bits(mask))
     assert max(canon) < 4
     if key is not None:
         if len(pieces) >= PIECES_BOUND:
@@ -489,9 +500,9 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
 
     pick = _first_rule if pieces is not None else traced
     try:
-        col = _solve(g, list(range(g.n)), pick, pieces=pieces)
+        col = _solve(g, g.vertex_mask, pick, pieces=pieces)
     except _Fail as exc:
-        return _refusal(g, exc.args[0])
+        return _refusal(exc.args[0])
     out = _coloring(col)
     assert out.k <= 4 and out.validate(g)
     return out if pieces is not None else (out, ColoringTrace(tuple(steps)))
@@ -527,7 +538,7 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
             raise ValueError(f"{st.rule} detail does not re-encode to itself")
         return rule, cert
 
-    col = _solve(g, list(range(g.n)), pick)
+    col = _solve(g, g.vertex_mask, pick)
     if next(feed, None) is not None:
         raise ValueError("trace has steps the recursion did not read")
     out = _coloring(col)

@@ -23,11 +23,15 @@ class CliqueCutset:
 
     vertices: tuple[int, ...]
 
-    def validate(self, g: Graph) -> bool:
+    def validate(self, g: Graph, within: Optional[int] = None) -> bool:
+        """A clique cutset of g[within], or of g when within is None."""
+        full = g.vertex_mask if within is None else within
+        if not all(0 <= v and full >> v & 1 for v in self.vertices):
+            return False
         cut = mask_of(self.vertices)
         if cut.bit_count() != len(self.vertices) or not is_clique(g, cut):
             return False
-        return not is_connected(g, g.vertex_mask & ~cut)
+        return not is_connected(g, full & ~cut)
 
 
 @dataclass(frozen=True)
@@ -65,58 +69,60 @@ def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
     return walk[-1] == b and len(walk) == sub.bit_count() - 1
 
 
-def _small_cliques(g: Graph, floor: Optional[tuple[int, ...]] = None
+def _small_cliques(g: Graph, full: int,
+                   floor: Optional[tuple[int, ...]] = None
                    ) -> Iterator[tuple[int, ...]]:
-    """Cliques of at most three vertices as sorted tuples, in the order
-    find_clique_cutset tries them, from the first one after floor (a sorted
-    tuple), or every one when floor is None.  A size other than the floor's
-    starts after a tuple below all of its cliques: (-1,), (0, -1) or
-    (0, 0, -1)."""
-    up = [row >> u + 1 << u + 1 for u, row in enumerate(g.adj)]  # above u
-    n = g.n
+    """Cliques of g[full] of at most three vertices as sorted tuples, in the
+    order find_clique_cutset tries them, from the first one after floor (a
+    sorted tuple), or every one when floor is None.  A size other than the
+    floor's starts after a tuple below all of its cliques: (-1,), (0, -1)
+    or (0, 0, -1)."""
+    up = [(row & full) >> u + 1 << u + 1 for u, row in enumerate(g.adj)]
     k = -1 if floor is None else len(floor)
     if k < 0:
         yield ()
     if k <= 1:
         a, = floor if k == 1 else (-1,)
-        yield from ((u,) for u in range(a + 1, n))
+        yield from ((u,) for u in bits(full >> a + 1 << a + 1))
     if k <= 2:
         a, b = floor if k == 2 else (0, -1)
-        yield from ((u, v) for u in range(a, n)
+        yield from ((u, v) for u in bits(full >> a << a)
                     for v in bits(up[u] if u != a else up[u] >> b + 1 << b + 1))
     if k <= 3:
         a, b, c = floor if k == 3 else (0, 0, -1)
-        yield from ((u, v, w) for u in range(a, n)
+        yield from ((u, v, w) for u in bits(full >> a << a)
                     for v in bits(up[u] if u != a else up[u] >> b << b)
                     for w in bits(up[u] & up[v] if u != a or v != b
                                   else up[u] & up[v] >> c + 1 << c + 1))
 
 
-def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None
-                       ) -> Optional[CliqueCutset]:
-    """Least clique cutset of size <= 3: smallest size first, then by
-    sorted vertex list. Size 0 (disconnected input) and 1 (cutvertex) count.
+def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None,
+                       within: Optional[int] = None) -> Optional[CliqueCutset]:
+    """Least clique cutset of size <= 3 of g[within], or of g when within is
+    None: smallest size first, then by sorted vertex list. Size 0
+    (disconnected input) and 1 (cutvertex) count.
 
     Candidates come in that order: the empty set, each vertex u, each edge
     u < v with v from adj[u], each triangle u < v < w with w from
-    adj[u] & adj[v], every group ascending.  The first one whose removal
-    leaves g disconnected is returned.
+    adj[u] & adj[v], every group ascending and inside within.  The first
+    one whose removal leaves g[within] disconnected is returned.  An
+    induced subgraph keeps the vertex order, so this is the search on the
+    induced copy of g[within], its answer mapped back to g's ids.
 
     `after` is a floor: the candidates start at the first one after it in
     that order, none at or before it being generated.  It is exact for a
     piece of a clique-cutset split.  Let C be the least clique cutset of a
-    graph G, K a component of G - C, and g = G[K ∪ C].  Take a clique S of g with S != C and (|S|, S) < (|C|, C).
-    Then S misses a vertex of C.  If g - S were disconnected, some component
-    of g - S would avoid the clique C \\ S; it lies inside K, whose
-    G-neighbours lie in K ∪ C, so S would be a clique cutset of G before C.
-    C is no cutset of g either, as g - C = K is connected.  So
-    find_clique_cutset(g, after=C) == find_clique_cutset(g), with C in g's
-    ids (an induced subgraph keeps the vertex order, so the order of
-    candidates is the same in g's ids as in G's).
+    graph G, K a component of G - C, and g = G[K ∪ C].  Take a clique S of
+    g with S != C and (|S|, S) < (|C|, C).  Then S misses a vertex of C.
+    If g - S were disconnected, some component of g - S would avoid the
+    clique C \\ S; it lies inside K, whose G-neighbours lie in K ∪ C, so S
+    would be a clique cutset of G before C.  C is no cutset of g either, as
+    g - C = K is connected.  So find_clique_cutset(g, after=C) ==
+    find_clique_cutset(g).
     """
-    full = g.vertex_mask
+    full = g.vertex_mask if within is None else within
     floor = None if after is None else tuple(sorted(after))
-    for c in _small_cliques(g, floor):
+    for c in _small_cliques(g, full, floor):
         if not is_connected(g, full & ~mask_of(c)):
             return CliqueCutset(c)
     return None
@@ -151,7 +157,10 @@ class MultipartiteCert:
 
     parts: tuple[int, ...]
 
-    def validate(self, g: Graph) -> bool:
+    def validate(self, g: Graph, within: Optional[int] = None) -> bool:
+        """Do the parts partition within (every vertex of g when None) and
+        make g[within] complete multipartite?"""
+        full = g.vertex_mask if within is None else within
         if len(self.parts) < 2 or any(p == 0 for p in self.parts):
             return False
         seen = 0
@@ -159,25 +168,28 @@ class MultipartiteCert:
             if seen & p:
                 return False
             seen |= p
-        if seen != g.vertex_mask:
+        if seen != full:
             return False
         for p in self.parts:
             for v in bits(p):
-                if g.adj[v] & p or g.adj[v] | p != g.vertex_mask:
+                if g.adj[v] & p or (g.adj[v] | p) & full != full:
                     return False
         return True
 
 
-def recognize_complete_multipartite(g: Graph) -> Optional[MultipartiteCert]:
-    """Certificate iff g has >= 2 parts: each unplaced vertex's
-    non-neighbourhood, itself included, is its part, and every member of a
-    part has the same neighbourhood."""
+def recognize_complete_multipartite(g: Graph, within: Optional[int] = None
+                                    ) -> Optional[MultipartiteCert]:
+    """Certificate iff g[within] (g when within is None) has >= 2 parts:
+    each unplaced vertex's non-neighbourhood, itself included, is its part,
+    and every member of a part has the same neighbourhood."""
+    full = g.vertex_mask if within is None else within
     parts = []
-    rest = g.vertex_mask
+    rest = full
     while rest:
         v = (rest & -rest).bit_length() - 1
-        part = g.vertex_mask & ~g.adj[v]
-        if any(g.adj[u] != g.adj[v] for u in bits(part)):
+        nbrs = g.adj[v] & full
+        part = full & ~nbrs
+        if any(g.adj[u] & full != nbrs for u in bits(part)):
             return None
         parts.append(part)
         rest &= ~part

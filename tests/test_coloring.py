@@ -4,6 +4,7 @@ structural recursion with its replayable traces."""
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from bench import ladders
 from isk4lab import coloring
 from isk4lab.coloring import (
     _backtrack,
@@ -31,7 +33,8 @@ from isk4lab.decompose import (
     recognize_complete_multipartite,
     recognize_line_graph_subcubic,
 )
-from isk4lab.graphs import Graph, bits, has_k4_minor, mask_of, parse_graph6
+from isk4lab.graphs import (Graph, bits, has_k4_minor, induced_subgraph,
+                            mask_of, parse_graph6)
 from isk4lab.patterns import (contains_fixed, contains_induced, contains_isk4,
                               find_maximal_k12n, find_rich_square,
                               iter_maximal_k12n, iter_rich_squares,
@@ -43,7 +46,8 @@ from oracles import (brute_chromatic_number, coloring_valid_two_pass,
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import C6, K4, K33, K123, K222, PRISM6, all_graphs
 
-FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 # ISK4-free graphs on 9 and 10 vertices that contain a K_{1,2,3}, each
 # with minimum degree 1 to 3
@@ -90,6 +94,20 @@ L_TWO_EDGE_CUT = parse_graph6("Kl|c_CD@GE_N")
 # two K4's side by side: the empty clique cutset
 TWO_K4_APART = Graph.from_edges(8, K4.edges()
                                 + [(u + 4, v + 4) for u, v in K4.edges()])
+
+# three C5's chained at the cutvertices 4 and 8: the second split runs on a
+# proper scope, {4, ..., 12}
+C5_CHAIN = Graph.from_edges(13, [(v, w) for c in (0, 4, 8) for v, w in
+                                 zip(range(c, c + 5), [c + 1, c + 2, c + 3,
+                                                       c + 4, c])])
+CHAIN_SPLIT = TraceStep("CliqueCutsetSplit", 0x1FFF, {"cutset": [4]})
+CHAIN_PEEL = TraceStep("LowDegreePeel", 0x1F, {"order": [0, 1, 2, 3, 4]})
+
+# K_{2,2,2} on 0..5 with a C5 through its vertex 5: Multipartite runs on the
+# proper scope {0, ..., 5}
+K222_C5 = Graph.from_edges(10, K222.edges() + [(5, 6), (6, 7), (7, 8),
+                                               (8, 9), (9, 5)])
+K222_C5_SPLIT = TraceStep("CliqueCutsetSplit", 0x3FF, {"cutset": [5]})
 
 # K_{1,2,4} with a three-vertex path component attached at {a, b_1, b_2}:
 # the path ends see b_1 and b_2, the middle vertex sees a
@@ -357,8 +375,9 @@ class TestFourCores:
         def watched(rule):
             def find(s):
                 seen[rule.name] += 1
-                assert min(a.bit_count() for a in s.h.adj) >= 4, s.h
-                assert has_k4_minor(s.h), s.h
+                h, _ = induced_subgraph(s.g, s.mask)
+                assert min(a.bit_count() for a in h.adj) >= 4, h
+                assert has_k4_minor(h), h
                 return rule.find(s)
             return rule._replace(find=find)
 
@@ -513,11 +532,12 @@ class TestLineGraphColorer:
 
     @staticmethod
     def leaf(g):
-        s = coloring._Scope(g, list(range(g.n)))
+        s = coloring._Scope(g, g.vertex_mask)
         rule = next(r for r in coloring._TABLE if r.name == "SubcubicLineGraph")
         cert = rule.find(s)
         assert cert is not None, g
         col = rule.apply(s, cert, None)
+        col = [col[v] for v in range(g.n)]
         return Coloring(tuple(col), max(col, default=-1) + 1)
 
     def test_c5_needs_three(self):
@@ -788,30 +808,61 @@ class TestTraceReplay:
         for g, (c, t) in traces:
             assert replay_trace(g, t) == c
 
-    @pytest.mark.parametrize("g,step", [
-        pytest.param(K123, TraceStep("Multipartite", 0x3F, {"parts": 5}),
+    @pytest.mark.parametrize("g,steps", [
+        pytest.param(K123, (TraceStep("Multipartite", 0x3F, {"parts": 5}),),
                      id="detail0"),
-        pytest.param(K123, TraceStep("Multipartite", 0x3F, {"parts": [[[0]]]}),
+        pytest.param(K123, (TraceStep("Multipartite", 0x3F,
+                                      {"parts": [[[0]]]}),),
                      id="detail1"),
-        pytest.param(K123, TraceStep("Multipartite", 0x3F, None), id="None"),
+        pytest.param(K123, (TraceStep("Multipartite", 0x3F, None),),
+                     id="None"),
         # each decodes to a valid certificate that encodes to another detail
-        pytest.param(K123, TraceStep("Multipartite", 0x3F,
-                                     {"parts": [[0], [2, 1], [3, 4, 5]]}),
+        pytest.param(K123, (TraceStep("Multipartite", 0x3F,
+                                      {"parts": [[0], [2, 1], [3, 4, 5]]}),),
                      id="parts-unsorted"),
-        pytest.param(TWO_K4, TraceStep("CliqueCutsetSplit", 31,
-                                       {"cutset": [3, 1, 2]}),
+        pytest.param(TWO_K4, (TraceStep("CliqueCutsetSplit", 31,
+                                        {"cutset": [3, 1, 2]}),),
                      id="cutset-unsorted"),
+        # a certificate vertex in g but outside the scope, past g's last
+        # vertex, or negative: the last step of each trace is the bad one
+        *(pytest.param(C5_CHAIN, (CHAIN_SPLIT, CHAIN_PEEL, TraceStep(
+            "CliqueCutsetSplit", 0x1FF0, {"cutset": cut})), id=name)
+          for name, cut in (("cutset-outside-scope", [3]),
+                            ("cutset-past-n", [13]),
+                            ("cutset-negative", [-1]))),
+        *(pytest.param(C5_CHAIN, (CHAIN_SPLIT, replace(CHAIN_PEEL,
+            detail={"order": order})), id=name)
+          for name, order in (("order-outside-scope", [0, 1, 2, 3, 5]),
+                              ("order-past-n", [0, 1, 2, 3, 13]),
+                              ("order-negative", [-1, 0, 1, 2, 3]))),
+        *(pytest.param(K222_C5, (K222_C5_SPLIT, TraceStep(
+            "Multipartite", 0x3F, {"parts": parts})), id=name)
+          for name, parts in (("part-outside-scope", [[0, 1], [2, 3],
+                                                      [4, 5, 6]]),
+                              ("part-past-n", [[0, 1], [2, 3], [4, 5, 10]]),
+                              ("part-negative", [[-1, 0, 1], [2, 3], [4, 5]]))),
     ])
-    def test_replay_malformed_detail_is_value_error(self, g, step):
+    def test_replay_malformed_detail_is_value_error(self, g, steps):
+        # a ValueError, never an IndexError or an AssertionError
         with pytest.raises(ValueError):
-            replay_trace(g, ColoringTrace((step,)))
+            replay_trace(g, ColoringTrace(steps))
+
+    @pytest.mark.parametrize("g,steps", [
+        pytest.param(C5_CHAIN, (CHAIN_SPLIT, CHAIN_PEEL), id="chain"),
+        pytest.param(K222_C5, (K222_C5_SPLIT, TraceStep(
+            "Multipartite", 0x3F, {"parts": [[0, 1], [2, 3], [4, 5]]})),
+            id="k222-c5")])
+    def test_malformed_cases_start_from_the_real_trace(self, g, steps):
+        # the nested cases above tamper with the last of these steps
+        _, t = pipeline_ok(g)
+        assert t.steps[:len(steps)] == steps
 
     def test_replay_refuses_an_improper_colouring(self, monkeypatch):
         # a planted Multipartite apply that gives every vertex one colour
         _, t = pipeline_ok(K222)
         assert t.rules() == ["Multipartite"]
         monkeypatch.setattr(coloring, "_TABLE", tuple(
-            r._replace(apply=lambda s, mp, sub: [0] * s.h.n)
+            r._replace(apply=lambda s, mp, sub: [0] * s.g.n)
             if r.name == "Multipartite" else r for r in coloring._TABLE))
         with pytest.raises(ValueError, match="replayed colouring is not proper"):
             replay_trace(K222, t)
@@ -974,6 +1025,40 @@ class TestPastN7:
         assert replay_trace(g, out[1]) == out[0]
 
 
+def test_traced_names_stay_module_globals():
+    # bench/trace.py rebinds these names on coloring to time every call
+    names = re.findall(r'rebind\(coloring, "(\w+)"',
+                       (ROOT / "bench" / "trace.py").read_text())
+    assert {"find_clique_cutset", "induced_subgraph",
+            "recognize_complete_multipartite"} <= set(names)
+    for name in names:
+        assert callable(vars(coloring).get(name)), name
+
+
+def test_one_clique_cutset_search_per_scope(monkeypatch):
+    # the recursion looks the search up as coloring's global at call time,
+    # once for each scope that picks a rule
+    calls = []
+    real = coloring.find_clique_cutset
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coloring, "find_clique_cutset", counted)
+    rng = random.Random(41)
+    hosts = [Graph.from_edges(*ladders.series_parallel(
+        rng, rng.randrange(20, 41), 10)) for _ in range(50)]
+    coloured = 0
+    for g in [*kernel_graphs(), *hosts]:
+        calls.clear()
+        out = structural_four_coloring(g)
+        if isinstance(out, tuple):
+            coloured += 1
+            assert len(calls) == len(out[1].steps), g
+    assert coloured > 5000
+
+
 def test_exact_search_starts_at_the_first_level(monkeypatch):
     calls = []
 
@@ -1055,9 +1140,10 @@ class TestPieceMemo:
     def test_a_repeated_piece_is_not_searched_again(self, monkeypatch):
         searched = []
 
-        def counted(h, after=None):
-            searched.append(h.adj)
-            return find_clique_cutset(h, after=after)
+        def counted(g, after=None, within=None):
+            # the adjacency of the scope's induced copy, as the memo keys it
+            searched.append(induced_subgraph(g, within)[0].adj)
+            return find_clique_cutset(g, after=after, within=within)
 
         monkeypatch.setattr(coloring, "find_clique_cutset", counted)
         # splits at {0} into its C5 and an edge; only the C5 is stored

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import networkx as nx
 from hypothesis import given, settings
 
 import oracles
-from isk4lab import decompose
+from bench import ladders
+from isk4lab import coloring, decompose
 from isk4lab.decompose import (
     CliqueCutset,
     MultipartiteCert,
@@ -21,6 +23,8 @@ from isk4lab.graphs import (Graph, bits, components, induced_subgraph,
 from isk4lab.patterns import contains_isk4
 from test_graphs import kernel_graphs, random_graph_strategy
 from test_patterns import K33, K123, K222, PRISM6, all_graphs, rule6_inputs
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestCliqueCutset:
@@ -139,6 +143,58 @@ class TestCliqueCutset:
                     expect = all(h.has_edge(u, v) for u, v in combinations(cut, 2)) \
                         and len(rest) > 0 and not nx.is_connected(rest)
                     assert CliqueCutset(cut).validate(g) == expect
+
+
+class TestWithin:
+    """A search on the vertex mask `within` of g is the search on the
+    induced copy g[within], its answer mapped back through the copy's vertex
+    map.  The structural recursion runs every scope as a mask of its input
+    graph and rests on this."""
+
+    @staticmethod
+    def scopes(monkeypatch):
+        """Every (g, after, within) that the recursion's clique-cutset search
+        is called with on the labeled graphs with n <= 6, seeded
+        series-parallel graphs with n = 20..40, and comp_n9.g6."""
+        calls = []
+        real = coloring.find_clique_cutset
+
+        def recorded(g, after=None, within=None):
+            calls.append((g, after, within))
+            return real(g, after=after, within=within)
+
+        monkeypatch.setattr(coloring, "find_clique_cutset", recorded)
+        rng = random.Random(29)
+        hosts = [g for n in range(7) for g in all_graphs(n)]
+        hosts += [Graph.from_edges(*ladders.series_parallel(rng, n, 10))
+                  for n in range(20, 41)]
+        hosts += map(parse_graph6,
+                     (FIXTURES / "comp_n9.g6").read_text().split())
+        for g in hosts:
+            coloring.structural_four_coloring(g)
+        return calls
+
+    def test_searches_on_a_mask_are_searches_on_its_copy(self, monkeypatch):
+        pieces = multipartite = 0
+        for g, after, within in self.scopes(monkeypatch):
+            h, vmap = induced_subgraph(g, within)
+            back = {v: i for i, v in enumerate(vmap)}
+            floor = None if after is None else [back[v] for v in after]
+            pieces += floor is not None
+            cc, want = (find_clique_cutset(g, after=after, within=within),
+                        find_clique_cutset(h, after=floor))
+            assert (cc and cc.vertices) == \
+                (want and tuple(vmap[v] for v in want.vertices)), (g, within)
+            if cc is not None:
+                assert cc.validate(g, within)
+            mp, want = (recognize_complete_multipartite(g, within),
+                        recognize_complete_multipartite(h))
+            assert (mp and mp.parts) == (want and tuple(
+                mask_of(vmap[v] for v in bits(p)) for p in want.parts))
+            if mp is not None:
+                assert mp.validate(g, within)
+                multipartite += 1
+        assert pieces > 10000 and multipartite > 1000
 
 
 class TestProper2Cutset:
