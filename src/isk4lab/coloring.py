@@ -22,7 +22,12 @@ first 4-colouring, which Vizing's theorem guarantees.
 
 A scope is a vertex mask of the input graph, and every rule works in the
 input's ids with no copy of the scope; only the line-graph leaf and the
-refusal build its induced subgraph, and both see only 4-cores.
+refusal build its induced subgraph, and both see only 4-cores.  One
+colour list indexed by the input's ids, allocated once per call of
+`structural_four_coloring` or `replay_trace`, holds the whole recursion:
+each scope writes its colours there in place, and a clique-cutset split
+permutes each later piece's colours there to agree with the first on the
+cutset.
 """
 
 from __future__ import annotations
@@ -165,10 +170,16 @@ def _backtrack(h: Graph, k: int) -> Optional[list[int]]:
     return col if go(h.vertex_mask, 0) else None
 
 
-def _canon_list(colors: Iterable[int]) -> list[int]:
-    """Renumber colours by first occurrence."""
-    ren: dict[int, int] = {}
-    return [ren.setdefault(c, len(ren)) for c in colors]
+def _renumber(col: list[int], mask: int, k: int = 4) -> None:
+    """Renumber the colours of mask's vertices, each below k, by first
+    occurrence in ascending vertex order, in place."""
+    ren, used = [-1] * k, 0
+    for v in bits(mask):
+        c = ren[col[v]]
+        if c < 0:
+            c = ren[col[v]] = used
+            used += 1
+        col[v] = c
 
 
 def _coloring(col: list[int]) -> Coloring:
@@ -207,9 +218,10 @@ def chromatic_number_exact(g: Graph, upper_bound: Optional[int] = None
     colouring, so the first colouring found is the same."""
     hi = g.n if upper_bound is None else min(upper_bound, g.n)
     for k in range(_first_level(g), hi + 1):
-        raw = _backtrack(g, k)
-        if raw is not None:
-            out = _coloring(_canon_list(raw))
+        col = _backtrack(g, k)
+        if col is not None:
+            _renumber(col, g.vertex_mask, k)
+            out = _coloring(col)
             assert out.validate(g)
             return out
     return None
@@ -223,15 +235,6 @@ def color_complete_multipartite(cert: MultipartiteCert) -> Coloring:
     col = {v: i for i, part in enumerate(cert.parts) for v in bits(part)}
     assert sorted(col) == list(range(len(col))), "parts must cover 0..n-1"
     return Coloring(tuple(col[v] for v in range(len(col))), len(cert.parts))
-
-
-def _four_colour_line_graph(h: Graph) -> list[int]:
-    """The exact search's first 4-colouring of h, a line graph of a graph of
-    maximum degree 3."""
-    col = _backtrack(h, 4)
-    # Vizing's theorem 4-edge-colours the root, so h has a 4-colouring
-    assert col is not None, "subcubic root failed to 4-edge-colour"
-    return col
 
 
 # -- structural recursion --------------------------------------------------
@@ -264,34 +267,26 @@ def _ids(s: _Scope, vs: Iterable[int]) -> list[int]:
     return vs
 
 
-def _merge(base: list[int], other: list[int], own: int,
-           shared: tuple[int, ...]) -> None:
-    """Overlay other's colours on the vertices of own onto base, after
-    permuting them so the shared clique agrees; leftover colours go to the
-    lowest free ids."""
-    pi = {other[v]: base[v] for v in shared}
-    targets = set(pi.values())
-    # a clique takes distinct colours on both sides
-    assert len(pi) == len(targets) == len(shared)
-    nxt = 0
-    for c in sorted({other[v] for v in bits(own)}):
-        if c in pi:
-            continue
-        while nxt in targets:
-            nxt += 1
-        pi[c] = nxt
-        targets.add(nxt)
-    for v in bits(own):
-        base[v] = pi[other[v]]
-
-
-def _split_clique(s: _Scope, cc: CliqueCutset, sub) -> list[int]:
-    smask = mask_of(cc.vertices)
+def _split_clique(s: _Scope, cc: CliqueCutset, col: list[int], sub) -> None:
+    """Colour each piece in turn.  A later piece, numbered by first
+    occurrence and so using colours 0..k-1, is permuted to agree with the
+    first on the clique: its cutset colours go to the saved ones, its other
+    colours, ascending, to the lowest colours the cutset does not hold."""
+    cut = cc.vertices
+    smask = mask_of(cut)
     first, *rest = components(s.g, s.mask & ~smask)
-    col = sub(first | smask, after=cc.vertices)
+    sub(first | smask, after=cut)
+    saved = [col[v] for v in cut]
+    free = [c for c in range(4) if c not in saved]
     for cm in rest:
-        _merge(col, sub(cm | smask, after=cc.vertices), cm, cc.vertices)
-    return col
+        sub(cm | smask, after=cut)
+        perm = [-1] * 4
+        for v, c in zip(cut, saved):
+            perm[col[v]] = c
+        others = iter(free)
+        perm = [next(others) if c < 0 else c for c in perm]
+        for v in bits(cm | smask):
+            col[v] = perm[col[v]]
 
 
 def _smallest_last(s: _Scope) -> Optional[list[int]]:
@@ -318,27 +313,50 @@ def _peels(s: _Scope, order: list[int]) -> bool:
     return bool(order)
 
 
-def _peel(s: _Scope, order: list[int], sub) -> list[int]:
+def _peel(s: _Scope, order: list[int], col: list[int], sub) -> None:
     # each peeled vertex sees at most three vertices coloured before it:
-    # the rest and the vertices peeled after it
+    # the rest and the vertices peeled after it; it takes the least colour
+    # missing from the mask of theirs
     done = s.mask & ~mask_of(order)
-    out = sub(done)
+    sub(done)
     for v in reversed(order):
-        out[v] = min(set(range(4)) - {out[u] for u in bits(s.g.adj[v] & done)})
+        seen = 0
+        for u in bits(s.g.adj[v] & done):
+            seen |= 1 << col[u]
+        col[v] = (~seen & seen + 1).bit_length() - 1
         done |= 1 << v
-    return out
+
+
+def _color_parts(s: _Scope, mp: MultipartiteCert, col: list[int],
+                 sub) -> None:
+    for i, part in enumerate(mp.parts):
+        for v in bits(part):
+            col[v] = i
+
+
+def _color_line_graph(s: _Scope, lg: SubcubicRootCert, col: list[int],
+                      sub) -> None:
+    """The exact search's first 4-colouring of the scope, a line graph of a
+    graph of maximum degree 3."""
+    h, vmap = s.induced
+    leaf = _backtrack(h, 4)
+    # Vizing's theorem 4-edge-colours the root, so h has a 4-colouring
+    assert leaf is not None, "subcubic root failed to 4-edge-colour"
+    for v, c in zip(vmap, leaf):
+        col[v] = c
 
 
 # One entry per trace rule, in proof order.  find(s) gives a certificate in
 # g's ids, or None when the rule does not apply; encode(s, cert) and
 # decode(s, detail) map it to and from the trace detail; check(s, cert)
 # re-validates a decoded one, that it lies in the scope included;
-# apply(s, cert, sub) colours the scope, sub(m) giving g[m]'s colouring as
-# a list indexed by g's ids, and returns the scope's colours indexed by g's
-# ids.  SubcubicLineGraph alone works in the induced scope: its edge_of
-# lists the scope's vertices in ascending order.  Detectors are looked up
-# by module-global name at call time, so rebinding them on this module
-# reaches every call.
+# apply(s, cert, col, sub) writes the scope's colours, each below 4, into
+# col, the one colour list indexed by g's ids that the whole recursion
+# shares; sub(m) colours g[m] there, numbered by first occurrence, and
+# writes nothing outside m.  SubcubicLineGraph alone works in the induced
+# scope: its edge_of lists the scope's vertices in ascending order.
+# Detectors are looked up by module-global name at call time, so rebinding
+# them on this module reaches every call.
 _Rule = namedtuple("_Rule", "name find encode decode apply check")
 _TABLE = (
     _Rule("CliqueCutsetSplit",
@@ -357,16 +375,14 @@ _TABLE = (
           encode=lambda s, mp: {"parts": [list(bits(p)) for p in mp.parts]},
           decode=lambda s, d: MultipartiteCert(
               tuple(mask_of(_ids(s, part)) for part in d["parts"])),
-          apply=lambda s, mp, sub: {v: i for i, part in enumerate(mp.parts)
-                                    for v in bits(part)},
+          apply=_color_parts,
           check=lambda s, mp: len(mp.parts) <= 4 and mp.validate(s.g, s.mask)),
     _Rule("SubcubicLineGraph",
           find=lambda s: recognize_line_graph_subcubic(s.induced[0]),
           encode=lambda s, lg: {"edge_of": [list(e) for e in lg.edge_of]},
           decode=lambda s, d: SubcubicRootCert(
               tuple(tuple(e) for e in d["edge_of"])),
-          apply=lambda s, lg, sub: dict(zip(
-              s.induced[1], _four_colour_line_graph(s.induced[0]))),
+          apply=_color_line_graph,
           check=lambda s, lg: lg.validate(s.induced[0])),
 )
 RULES = tuple(rule.name for rule in _TABLE)
@@ -429,49 +445,49 @@ def _refusal(s: _Scope) -> ColoringFailure:
 PIECES_BOUND = 4096
 
 
-def _solve(g: Graph, mask: int, pick: Callable,
+def _solve(g: Graph, mask: int, pick: Callable, col: list[int],
            after: Optional[list[int]] = None,
-           pieces: Optional[dict] = None) -> list[int]:
-    """Colour g[mask] and return the colours of mask's vertices in
-    ascending order, renumbered by first occurrence: the same list as the
-    colouring of g[mask]'s induced copy in its own ids.  At most
-    four vertices take distinct colours.  Else pick(s) gives the rule and
-    its certificate in g's ids, once per call and in pre-order, a
-    disconnected scope too (its rule is the empty clique cutset).  sub(m)
-    returns g[m]'s colouring as a list indexed by g's ids, m being a proper
-    subset of mask.
+           pieces: Optional[dict] = None) -> None:
+    """Colour g[mask] in col, the colour list indexed by g's ids, writing
+    every vertex of mask and nothing else: mask's colours in ascending
+    vertex order, renumbered by first occurrence, are the colouring of
+    g[mask]'s induced copy in its own ids.  At most four vertices take
+    distinct colours.  Else pick(s) gives the rule and its certificate in
+    g's ids, once per call and in pre-order, a disconnected scope too (its
+    rule is the empty clique cutset), and the rule colours the scope in
+    col; sub(m) colours g[m] there in turn, m being a proper subset of
+    mask.
 
     With pieces, each piece of a clique-cutset split (the only scopes with
     an `after`) with more than four vertices is looked up by the adjacency
-    of its induced copy.  A hit returns the stored colouring and calls no
-    pick; a miss stores the colouring once the subtree succeeds.  The key
+    of its induced copy.  A hit copies the stored colours into col and
+    calls no pick; a miss stores them once the subtree succeeds.  The key
     can ignore `after`: the clique-cutset floor is exact, so the whole
     subtree depends on the induced copy alone."""
     if mask.bit_count() <= 4:
-        return list(range(mask.bit_count()))
+        for i, v in enumerate(bits(mask)):
+            col[v] = i
+        return
     key = None
     if pieces is not None and after is not None:
         key = induced_subgraph(g, mask)[0].adj
         if key in pieces:
-            return pieces[key]
+            for v, c in zip(bits(mask), pieces[key]):
+                col[v] = c
+            return
     s = _Scope(g, mask, after)
 
-    def sub(m: int, after: Optional[Iterable[int]] = None) -> list[int]:
+    def sub(m: int, after: Optional[Iterable[int]] = None) -> None:
         assert m != mask, "every rule must shrink its instance"
-        col = [0] * g.n
-        for v, c in zip(bits(m), _solve(g, m, pick, after, pieces)):
-            col[v] = c
-        return col
+        _solve(g, m, pick, col, after, pieces)
 
     rule, cert = pick(s)
-    col = rule.apply(s, cert, sub)
-    canon = _canon_list(col[v] for v in bits(mask))
-    assert max(canon) < 4
+    rule.apply(s, cert, col, sub)
+    _renumber(col, mask)
     if key is not None:
         if len(pieces) >= PIECES_BOUND:
             pieces.clear()
-        pieces[key] = canon
-    return canon
+        pieces[key] = [col[v] for v in bits(mask)]
 
 
 def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
@@ -499,8 +515,9 @@ def structural_four_coloring(g: Graph, pieces: Optional[dict] = None
         return rule, cert
 
     pick = _first_rule if pieces is not None else traced
+    col = [0] * g.n
     try:
-        col = _solve(g, g.vertex_mask, pick, pieces=pieces)
+        _solve(g, g.vertex_mask, pick, col, pieces=pieces)
     except _Fail as exc:
         return _refusal(exc.args[0])
     out = _coloring(col)
@@ -538,7 +555,8 @@ def replay_trace(g: Graph, trace: ColoringTrace) -> Coloring:
             raise ValueError(f"{st.rule} detail does not re-encode to itself")
         return rule, cert
 
-    col = _solve(g, g.vertex_mask, pick)
+    col = [0] * g.n
+    _solve(g, g.vertex_mask, pick, col)
     if next(feed, None) is not None:
         raise ValueError("trace has steps the recursion did not read")
     out = _coloring(col)

@@ -69,21 +69,74 @@ def _is_ab_path(g: Graph, side: int, a: int, b: int) -> bool:
     return walk[-1] == b and len(walk) == sub.bit_count() - 1
 
 
-def _small_cliques(g: Graph, full: int,
-                   floor: Optional[tuple[int, ...]] = None
+def _cut_vertices(g: Graph, full: int) -> tuple[bool, int]:
+    """Is g[full] connected, and the mask of its vertices v with g[full - v]
+    disconnected, by one lowpoint depth-first search (Tarjan, SIAM J.
+    Comput. 1972).
+
+    A vertex first seen has only its tree ancestors seen among its
+    neighbours, so its lowpoint starts as their least discovery time; a
+    finished child passes its lowpoint up.  With one component, v cuts
+    exactly when it is a non-root vertex with a child whose lowpoint is no
+    less than v's discovery time, or the root with two children.  With two
+    components, every vertex cuts but an isolated one, and with three or
+    more, every vertex."""
+    adj = g.adj
+    disc = [0] * g.n  # discovery times from 1; 0 while unseen
+    low = [0] * g.n
+    seen = cuts = single = 0
+    comps = t = 0
+    rest = full
+    while rest:
+        root = (rest & -rest).bit_length() - 1
+        comps += 1
+        t += 1
+        disc[root] = low[root] = t
+        seen |= 1 << root
+        stack, children = [root], 0
+        while stack:
+            v = stack[-1]
+            nxt = adj[v] & full & ~seen
+            if nxt:
+                w = (nxt & -nxt).bit_length() - 1
+                t += 1
+                disc[w] = lw = t
+                for u in bits(adj[w] & seen):
+                    if disc[u] < lw:
+                        lw = disc[u]
+                low[w] = lw
+                seen |= 1 << w
+                stack.append(w)
+                continue
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1]
+            if p == root:
+                children += 1
+            elif low[v] >= disc[p]:
+                cuts |= 1 << p
+            if low[v] < low[p]:
+                low[p] = low[v]
+        if children >= 2:
+            cuts |= 1 << root
+        elif not children:
+            single |= 1 << root
+        rest &= ~seen
+    if comps > 2:
+        return False, full
+    if comps == 2:
+        return False, full & ~single
+    return True, cuts
+
+
+def _small_cliques(g: Graph, full: int, floor: tuple[int, ...]
                    ) -> Iterator[tuple[int, ...]]:
-    """Cliques of g[full] of at most three vertices as sorted tuples, in the
+    """Cliques of g[full] of two and three vertices as sorted tuples, in the
     order find_clique_cutset tries them, from the first one after floor (a
-    sorted tuple), or every one when floor is None.  A size other than the
-    floor's starts after a tuple below all of its cliques: (-1,), (0, -1)
-    or (0, 0, -1)."""
+    sorted tuple).  A floor of fewer vertices starts at the first edge."""
     up = [(row & full) >> u + 1 << u + 1 for u, row in enumerate(g.adj)]
-    k = -1 if floor is None else len(floor)
-    if k < 0:
-        yield ()
-    if k <= 1:
-        a, = floor if k == 1 else (-1,)
-        yield from ((u,) for u in bits(full >> a + 1 << a + 1))
+    k = len(floor)
     if k <= 2:
         a, b = floor if k == 2 else (0, -1)
         yield from ((u, v) for u in bits(full >> a << a)
@@ -109,6 +162,14 @@ def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None,
     induced subgraph keeps the vertex order, so this is the search on the
     induced copy of g[within], its answer mapped back to g's ids.
 
+    The empty set and the single vertices are decided together by one
+    lowpoint search (_cut_vertices): whether g[within] is connected, and
+    the mask of the vertices whose removal disconnects it.  The single
+    vertices are tried ascending and the first one that disconnects wins,
+    so the answer among them is the least vertex of that mask after the
+    floor.  Edges and triangles are then tried one by one, each with one
+    connectivity test.
+
     `after` is a floor: the candidates start at the first one after it in
     that order, none at or before it being generated.  It is exact for a
     piece of a clique-cutset split.  Let C be the least clique cutset of a
@@ -121,7 +182,15 @@ def find_clique_cutset(g: Graph, after: Optional[Iterable[int]] = None,
     find_clique_cutset(g).
     """
     full = g.vertex_mask if within is None else within
-    floor = None if after is None else tuple(sorted(after))
+    floor = () if after is None else tuple(sorted(after))
+    if after is None or len(floor) <= 1:
+        connected, cuts = _cut_vertices(g, full)
+        if after is None and not connected:
+            return CliqueCutset(())
+        if floor:
+            cuts = cuts >> floor[0] + 1 << floor[0] + 1
+        if cuts:
+            return CliqueCutset(((cuts & -cuts).bit_length() - 1,))
     for c in _small_cliques(g, full, floor):
         if not is_connected(g, full & ~mask_of(c)):
             return CliqueCutset(c)

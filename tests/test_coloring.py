@@ -536,8 +536,8 @@ class TestLineGraphColorer:
         rule = next(r for r in coloring._TABLE if r.name == "SubcubicLineGraph")
         cert = rule.find(s)
         assert cert is not None, g
-        col = rule.apply(s, cert, None)
-        col = [col[v] for v in range(g.n)]
+        col = [-1] * g.n
+        rule.apply(s, cert, col, None)
         return Coloring(tuple(col), max(col, default=-1) + 1)
 
     def test_c5_needs_three(self):
@@ -861,8 +861,13 @@ class TestTraceReplay:
         # a planted Multipartite apply that gives every vertex one colour
         _, t = pipeline_ok(K222)
         assert t.rules() == ["Multipartite"]
+
+        def one_colour(s, mp, col, sub):
+            for v in bits(s.mask):
+                col[v] = 0
+
         monkeypatch.setattr(coloring, "_TABLE", tuple(
-            r._replace(apply=lambda s, mp, sub: [0] * s.g.n)
+            r._replace(apply=one_colour)
             if r.name == "Multipartite" else r for r in coloring._TABLE))
         with pytest.raises(ValueError, match="replayed colouring is not proper"):
             replay_trace(K222, t)

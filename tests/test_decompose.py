@@ -145,6 +145,52 @@ class TestCliqueCutset:
                     assert CliqueCutset(cut).validate(g) == expect
 
 
+class TestCutVertices:
+    """The lowpoint search that decides find_clique_cutset's empty and
+    single-vertex candidates, against one connectivity test per vertex."""
+
+    @staticmethod
+    def check(g, within):
+        want = mask_of(v for v in bits(within)
+                       if not is_connected(g, within & ~(1 << v)))
+        assert decompose._cut_vertices(g, within) == \
+            (is_connected(g, within), want), (g.code(), within)
+
+    def test_every_mask_of_every_small_graph(self):
+        # every graph with n <= 6, disconnected ones too, and every within
+        # of at least three vertices.  The search reads g's rows only inside
+        # within, so each (n, within, g[within]) is checked once: g has the
+        # edges of each graph on within and no other
+        graphs = 0
+        for n in range(3, 7):
+            for within in range(1 << n):
+                if within.bit_count() < 3:
+                    continue
+                pairs = list(combinations(bits(within), 2))
+                for code in range(1 << len(pairs)):
+                    g = Graph.from_edges(n, [e for i, e in enumerate(pairs)
+                                             if code >> i & 1])
+                    self.check(g, within)
+                    graphs += 1
+        assert graphs == 8 + 96 + 1424 + 40032
+
+    def test_the_scopes_of_the_recursion(self):
+        # every scope that picks a rule on 50 seeded series-parallel graphs
+        # with n = 20..40 and on comp_n9.g6
+        rng = random.Random(43)
+        hosts = [Graph.from_edges(*ladders.series_parallel(
+            rng, rng.randrange(20, 41), 10)) for _ in range(50)]
+        hosts += map(parse_graph6,
+                     (FIXTURES / "comp_n9.g6").read_text().split())
+        scopes = 0
+        for g in hosts:
+            _, trace = coloring.structural_four_coloring(g)
+            for st in trace.steps:
+                self.check(g, st.scope)
+            scopes += len(trace.steps)
+        assert scopes > 500
+
+
 class TestWithin:
     """A search on the vertex mask `within` of g is the search on the
     induced copy g[within], its answer mapped back through the copy's vertex
